@@ -25,11 +25,14 @@ from .instance import (
     InternalInvariantError,
     SizeCapError,
     SolutionReport,
+    _edge_masks,
+    _reach,
+    assert_valid,
+    canon_edge,
     check_feasible,
     denormalize_solution,
     normalize,
     solution_cost,
-    validate,
 )
 from .io import (
     instance_to_json,
@@ -77,17 +80,11 @@ def _solve_instance(instance: Instance, algorithm: str) -> SolutionReport:
 def _solve_one_file(task: tuple[str, str, str]) -> tuple[str, str, str]:
     path, algorithm, out_path = task
     instance = read_instance(path)
-    _abort_on_invalid(instance)
+    assert_valid(instance, structural_only=True)
     report = _solve_instance(instance, algorithm)
     write_atomic(out_path, solution_to_json(report))
     line = f"{path}: cost {report.total_cost} iterations {len(report.iterations)}"
     return path, out_path, line
-
-
-def _abort_on_invalid(instance: Instance) -> None:
-    issues = validate(instance, structural_only=True)
-    if issues:
-        raise InputError("; ".join(str(i) for i in issues))
 
 
 def _default_solution_path(input_path: str) -> str:
@@ -105,8 +102,11 @@ def cmd_solve(args) -> int:
         out = args.output if args.output and len(args.input) == 1 else _default_solution_path(path)
         tasks.append((path, args.algorithm, out))
 
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_solve_one_file, tasks))
     else:
         results = [_solve_one_file(t) for t in tasks]
@@ -121,8 +121,17 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _seed(args) -> int:
+    """``--seed``, unless the environment variable VGSST_SEED overrides it."""
+    text = os.environ.get("VGSST_SEED", str(args.seed))
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"VGSST_SEED must be an integer, got {text!r}") from None
+
+
 def cmd_gen(args) -> int:
-    seed = int(os.environ.get("VGSST_SEED", args.seed))
+    seed = _seed(args)
     if args.builtin == "fig3":
         instance = fig3_instance()
     elif args.builtin == "fig2":
@@ -173,7 +182,7 @@ def instance_to_dot(instance: Instance, assignment=None) -> str:
 
 def cmd_export(args) -> int:
     instance = read_instance(args.input)
-    _abort_on_invalid(instance)
+    assert_valid(instance, structural_only=True)
     if args.lp:
         model = build_ilp(instance)
         text = export_lp(model)
@@ -189,9 +198,43 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _tree_failures(instance: Instance, report: SolutionReport) -> list[str]:
+    """Check that the tree edges certify the assignment.
+
+    They must be instance edges forming a spanning tree of the bought
+    vertices, and for every grade i the edges between vertices of grade i
+    or more must join every terminal demanding i or more.
+    """
+    edges = set(instance.edges)
+    for u, v in report.tree_edges:
+        if canon_edge(u, v) not in edges:
+            return [f"tree edge ({u},{v}) is not an instance edge"]
+    y = report.assignment
+    support = sum(1 << v for v, g in enumerate(y) if g >= 1)
+    if len(report.tree_edges) != support.bit_count() - 1:
+        return [
+            f"{len(report.tree_edges)} tree edges for "
+            f"{support.bit_count()} bought vertices"
+        ]
+    tree_masks = _edge_masks(instance.num_vertices, report.tree_edges)
+    failures = []
+    for grade in range(1, instance.grades + 1):
+        level = sum(1 << v for v, g in enumerate(y) if g >= grade)
+        need = sum(1 << t for t, r in instance.required.items() if r >= grade)
+        if grade == 1:
+            need |= support
+        if not need:
+            continue
+        apart = need & ~_reach(tree_masks, level, (need & -need).bit_length() - 1)
+        if apart:
+            vertex = (apart & -apart).bit_length() - 1
+            failures.append(f"grade-{grade} tree edges do not reach vertex {vertex}")
+    return failures
+
+
 def cmd_verify(args) -> int:
     instance = read_instance(args.instance)
-    _abort_on_invalid(instance)
+    assert_valid(instance, structural_only=True)
     report = read_solution(args.solution)
     failures = []
 
@@ -211,11 +254,8 @@ def cmd_verify(args) -> int:
                 failures.append(
                     f"grade-{witness.grade} witness pair {witness.pair} disconnected"
                 )
-        support = sorted(v for v, g in enumerate(report.assignment) if g >= 1)
-        touched = sorted({v for e in report.tree_edges for v in e})
-        if len(support) > 1 and touched != support:
-            failures.append("tree edges do not span the bought vertices")
-        if report.iterations:
+        failures.extend(_tree_failures(instance, report))
+        if report.iterations and not failures:
             root = report.iterations[-1].root
             grt_ok, path = check_grt(
                 instance, report.tree_edges, report.assignment, root
@@ -241,7 +281,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    seed = int(os.environ.get("VGSST_SEED", args.seed))
+    seed = _seed(args)
     algorithms = args.algorithms.split(",")
     print("instance " + " ".join(algorithms))
     for k in range(args.count):

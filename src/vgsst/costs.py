@@ -69,6 +69,8 @@ class Cost:
             except InvalidOperation as exc:
                 raise CostPrecisionError(f"unparseable cost {value!r}") from exc
         if isinstance(value, Decimal):
+            if not value.is_finite():
+                raise CostPrecisionError(f"cost {value} is not a finite number")
             scaled = value * COST_SCALE
             if scaled != scaled.to_integral_value():
                 raise CostPrecisionError(

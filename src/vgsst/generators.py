@@ -13,7 +13,7 @@ import random
 from decimal import Decimal
 
 from .costs import COST_SCALE, Cost
-from .instance import InputError, Instance, _UnionFind
+from .instance import InputError, Instance, _edge_masks, _reach
 
 
 def fig3_instance() -> Instance:
@@ -119,10 +119,8 @@ def random_instance(
             for v in range(u + 1, n)
             if rng.random() < edge_prob
         ]
-        uf = _UnionFind(n)
-        for u, v in edges:
-            uf.union(u, v)
-        if n == 1 or all(uf.find(v) == uf.find(0) for v in range(n)):
+        full = (1 << n) - 1
+        if _reach(_edge_masks(n, edges), full, 0) == full:
             break
     else:
         raise InputError(

@@ -20,6 +20,8 @@ from .instance import (
     InternalInvariantError,
     SolutionReport,
     VgsstError,
+    _edge_masks,
+    _reach,
     assert_valid,
     check_feasible,
     extract_tree,
@@ -27,6 +29,7 @@ from .instance import (
     solution_cost,
     spanning_tree_by_levels,
 )
+from .reductions import _build_rooted, _subtree_demand
 
 #: Contract for the single-grade subroutine: takes a one-grade instance
 #: (every terminal requiring grade 1) and returns a vertex set that
@@ -67,12 +70,12 @@ def _check_vst_result(view: Instance, result: frozenset[int]) -> None:
     missing = set(view.terminals) - set(result)
     if missing:
         raise VstContractError(f"subroutine result misses terminals {sorted(missing)}")
-    chosen = sorted(result)
-    if not chosen:
+    if not result:
         raise VstContractError("subroutine returned an empty set")
-    indicator = [1 if v in result else 0 for v in range(view.num_vertices)]
-    edges = spanning_tree_by_levels(view, indicator, allowed=result)
-    if len(edges) != len(chosen) - 1:
+    n = view.num_vertices
+    chosen = sum(1 << v for v in result if 0 <= v < n)
+    reached = _reach(_edge_masks(n, view.edges), chosen, view.terminals[0])
+    if chosen.bit_count() != len(result) or reached != chosen:
         raise VstContractError("subroutine result does not induce a connected subgraph")
 
 
@@ -156,35 +159,17 @@ def solve_bottomup(instance: Instance, vst: VstSubroutine) -> SolutionReport:
     edges = spanning_tree_by_levels(instance, indicator, allowed=result)
     root = min(v for v in instance.terminals if instance.required[v] == instance.grades)
 
-    children: dict[int, list[int]] = {v: [] for v in result}
-    parent = {root: -1}
-    order = [root]
-    adj: dict[int, list[int]] = {v: [] for v in result}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in order:
-        for u in sorted(adj[v]):
-            if u not in parent:
-                parent[u] = v
-                children[v].append(u)
-                order.append(u)
-
-    # Post-order pass: highest requirement in each subtree; 0 means prune.
-    demand = {v: instance.required.get(v, 0) for v in result}
-    for v in reversed(order):
-        for u in children[v]:
-            demand[v] = max(demand[v], demand[u])
-
+    # Highest requirement in each subtree; -1 marks a terminal-free branch.
+    _parent, children, order = _build_rooted(edges, root)
+    demand = _subtree_demand(order, children, instance.required, set(instance.terminals))
     y = [0] * instance.num_vertices
     for v in order:
-        if demand[v] > 0:
-            y[v] = demand[v]
+        y[v] = max(demand[v], 0)
     assignment = tuple(y)
     ok, witness = check_feasible(instance, assignment)
     if not ok:
         raise InternalInvariantError(f"bottom-up result infeasible: {witness}")
-    kept = {v for v in order if demand[v] > 0}
+    kept = {v for v in order if demand[v] >= 0}
     tree = tuple(sorted((u, v) for u, v in edges if u in kept and v in kept))
     return SolutionReport(
         assignment=assignment,

@@ -133,7 +133,8 @@ class Violation:
 
 
 class _UnionFind:
-    """Union-find with path halving; used for level-set connectivity."""
+    """Union-find with path halving; Kruskal's forest in
+    :func:`spanning_tree_by_levels`."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -155,12 +156,31 @@ class _UnionFind:
         return True
 
 
-def _connected(instance: Instance) -> bool:
-    uf = _UnionFind(instance.num_vertices)
-    for u, v in instance.edges:
-        uf.union(u, v)
-    root = uf.find(0)
-    return all(uf.find(v) == root for v in range(instance.num_vertices))
+def _edge_masks(n: int, edges: Iterable[Edge]) -> list[int]:
+    """Per-vertex neighbour bitmasks of an undirected edge list."""
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def _reach(adj_masks: Sequence[int], level: int, start: int) -> int:
+    """Bitmask of the vertices joined to ``start`` inside the ``level`` set.
+
+    The one connectivity routine of the package: feasibility, graph
+    connectivity, subroutine results and verified trees all reduce to it.
+    """
+    reached = frontier = 1 << start
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            grow |= adj_masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grow & level & ~reached
+        reached |= frontier
+    return reached
 
 
 def validate(instance: Instance, structural_only: bool = False) -> list[Violation]:
@@ -178,7 +198,8 @@ def validate(instance: Instance, structural_only: bool = False) -> list[Violatio
         elif (u, v) in seen:
             out.append(Violation("duplicate-edge", (u, v), "multigraphs are rejected"))
         seen.add((u, v))
-    if not _connected(instance):
+    full = (1 << instance.num_vertices) - 1
+    if _reach(_edge_masks(instance.num_vertices, instance.edges), full, 0) != full:
         out.append(Violation("connectivity", None, "graph is not connected"))
     for v, ladder in enumerate(instance.costs):
         for i in range(1, instance.grades):
@@ -251,9 +272,7 @@ def normalize(instance: Instance) -> NormalizeResult:
     """
     if not instance.required:
         raise InputError("cannot normalize an instance with no terminals")
-    issues = validate(instance, structural_only=True)
-    if issues:
-        raise InputError("; ".join(str(i) for i in issues))
+    assert_valid(instance, structural_only=True)
 
     top = max(instance.required.values())
     n = instance.num_vertices
@@ -401,27 +420,20 @@ def check_feasible(
         if y[v] < instance.required[v]:
             return False, FeasibilityWitness(kind="requirement", vertex=v)
 
+    adj_masks = _edge_masks(instance.num_vertices, instance.edges)
     for grade in range(1, instance.grades + 1):
         needed = [v for v in instance.terminals if instance.required[v] >= grade]
         if len(needed) < 2:
             continue
-        uf = _UnionFind(instance.num_vertices)
-        for u, v in instance.edges:
-            if y[u] >= grade and y[v] >= grade:
-                uf.union(u, v)
-        root = uf.find(needed[0])
-        separated = [v for v in needed if uf.find(v) != root]
-        if separated:
-            # Lexicographically smallest separated pair across components.
-            pair = None
-            for i, a in enumerate(needed):
-                for b in needed[i + 1 :]:
-                    if uf.find(a) != uf.find(b):
-                        pair = (a, b)
-                        break
-                if pair:
-                    break
-            return False, FeasibilityWitness(kind="disconnected", grade=grade, pair=pair)
+        level = sum(1 << v for v, g in enumerate(y) if g >= grade)
+        reached = _reach(adj_masks, level, needed[0])
+        # Every needed terminal is in the level set, so the lexicographically
+        # smallest separated pair starts at needed[0].
+        for b in needed[1:]:
+            if not reached >> b & 1:
+                return False, FeasibilityWitness(
+                    kind="disconnected", grade=grade, pair=(needed[0], b)
+                )
     return True, None
 
 
@@ -432,19 +444,13 @@ def feasibility_tester(instance: Instance):
     meant for enumeration loops.
     """
     n = instance.num_vertices
-    adj_mask = [0] * n
-    for u, v in instance.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
+    adj_masks = _edge_masks(n, instance.edges)
     floors = [(v, instance.required[v]) for v in instance.terminals]
     grade_needs: list[tuple[int, int, int]] = []  # (grade, need_mask, start vertex)
     for grade in range(instance.grades, 0, -1):
         needed = [v for v in instance.terminals if instance.required[v] >= grade]
         if len(needed) >= 2:
-            mask = 0
-            for v in needed:
-                mask |= 1 << v
-            grade_needs.append((grade, mask, needed[0]))
+            grade_needs.append((grade, sum(1 << v for v in needed), needed[0]))
 
     def feasible(y: Sequence[int]) -> bool:
         for v, r in floors:
@@ -455,18 +461,7 @@ def feasibility_tester(instance: Instance):
             for v in range(n):
                 if y[v] >= grade:
                     level |= 1 << v
-            reached = 1 << start
-            frontier = reached
-            while frontier:
-                grow = 0
-                f = frontier
-                while f:
-                    low = f & -f
-                    grow |= adj_mask[low.bit_length() - 1]
-                    f ^= low
-                frontier = grow & level & ~reached
-                reached |= frontier
-            if need & ~reached:
+            if need & ~_reach(adj_masks, level, start):
                 return False
         return True
 

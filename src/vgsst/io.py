@@ -107,6 +107,18 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _edge(value, what: str) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise InputError(f"{what} entries must be [u, v] pairs, got {value!r}")
+    return _int(value[0], f"{what} endpoint"), _int(value[1], f"{what} endpoint")
+
+
 # ---------------------------------------------------------------------------
 # Instances
 
@@ -116,20 +128,17 @@ def instance_from_json(text: str) -> Instance:
     _require_fields(data, _INSTANCE_FIELDS, "instance")
     n = _int(data["num_vertices"], "num_vertices")
     grades = _int(data["grades"], "grades")
-    edges = []
-    for e in data["edges"]:
-        if not isinstance(e, list) or len(e) != 2:
-            raise InputError(f"edge entries must be [u, v] pairs, got {e!r}")
-        edges.append((_int(e[0], "edge endpoint"), _int(e[1], "edge endpoint")))
+    edges = [_edge(e, "edge") for e in _list(data["edges"], "edges")]
     required = {}
-    for t in data["terminals"]:
+    for t in _list(data["terminals"], "terminals"):
         _require_fields(t, _TERMINAL_FIELDS, "terminal entry")
         v = _int(t["vertex"], "terminal vertex")
         if v in required:
             raise InputError(f"terminal {v} listed twice")
         required[v] = _int(t["required"], "required grade")
     try:
-        return Instance.build(n, edges, grades, required, data["costs"])
+        costs = [_list(ladder, "cost ladder") for ladder in _list(data["costs"], "costs")]
+        return Instance.build(n, edges, grades, required, costs)
     except (ValueError, TypeError) as exc:
         raise InputError(str(exc)) from exc
 
@@ -177,32 +186,34 @@ def solution_from_json(text: str) -> SolutionReport:
     data = _loads(text)
     _require_fields(data, _SOLUTION_FIELDS, "solution")
     assignment: GradeAssignment = tuple(
-        _int(v, "assignment entry") for v in data["assignment"]
+        _int(v, "assignment entry") for v in _list(data["assignment"], "assignment")
     )
-    edges = tuple(
-        (_int(e[0], "tree edge endpoint"), _int(e[1], "tree edge endpoint"))
-        for e in data["tree_edges"]
-    )
+    edges = tuple(_edge(e, "tree edge") for e in _list(data["tree_edges"], "tree_edges"))
     iterations = []
-    for rec in data["iterations"]:
-        _require_fields(rec, _ITERATION_FIELDS, "iteration entry")
-        iterations.append(
-            IterationRecord(
-                gamma=parse_fraction(str(rec["gamma"])),
-                merged_count=_int(rec["merged_count"], "merged_count"),
-                incurred_cost=Cost.parse(rec["incurred_cost"]),
-                root=_int(rec["root"], "root"),
-                center=_int(rec["center"], "center"),
-                grade=_int(rec["grade"], "grade"),
-                subset_roots=tuple(
-                    _int(r, "subset root") for r in rec["subset_roots"]
-                ),
+    try:
+        for rec in _list(data["iterations"], "iterations"):
+            _require_fields(rec, _ITERATION_FIELDS, "iteration entry")
+            iterations.append(
+                IterationRecord(
+                    gamma=parse_fraction(str(rec["gamma"])),
+                    merged_count=_int(rec["merged_count"], "merged_count"),
+                    incurred_cost=Cost.parse(rec["incurred_cost"]),
+                    root=_int(rec["root"], "root"),
+                    center=_int(rec["center"], "center"),
+                    grade=_int(rec["grade"], "grade"),
+                    subset_roots=tuple(
+                        _int(r, "subset root")
+                        for r in _list(rec["subset_roots"], "subset_roots")
+                    ),
+                )
             )
-        )
+        total = Cost.parse(data["cost"])
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise InputError(str(exc)) from exc
     return SolutionReport(
         assignment=assignment,
         tree_edges=edges,
-        total_cost=Cost.parse(data["cost"]),
+        total_cost=total,
         iterations=tuple(iterations),
     )
 

@@ -2,8 +2,9 @@
 0/1 programming model with an enumerating mini-solver and LP-file export.
 
 Ground truth for every approximation-ratio test in the suite. Both
-enumerators scan assignments in exact (cost, lexicographic) order and
-return the first feasible one, so results and tie-breaks are reproducible.
+enumerators share one backend, a best-first walk of the grade lattice
+that visits assignments in exact (cost, lexicographic) order and returns
+the first feasible one, so results and tie-breaks are reproducible.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .costs import Cost
 from .instance import (
     GradeAssignment,
@@ -21,15 +20,12 @@ from .instance import (
     InternalInvariantError,
     SizeCapError,
     SolutionReport,
+    _edge_masks,
     assert_valid,
     extract_tree,
     feasibility_tester,
     solution_cost,
 )
-
-#: Above this many candidate assignments, the enumerators switch from a
-#: vectorised full scan to a lazy best-first walk of the grade lattice.
-_VECTOR_LIMIT = 200_000
 
 #: Hard ceiling on the candidate count for the assignment oracle.
 _PRODUCT_CAP = 10**7
@@ -50,31 +46,14 @@ def _cost_tables(instance: Instance, ranges) -> list[list[int]]:
     ]
 
 
-def _scan_vectorised(ranges, tables, feasible) -> tuple[tuple[int, ...], int] | None:
-    """Materialise every candidate, order by (cost, lex), walk until feasible."""
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in ranges]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    total = np.zeros(grid.shape[0], dtype=np.int64)
-    for v, (lo, _hi) in enumerate(ranges):
-        table = np.asarray(tables[v], dtype=np.int64)
-        total += table[grid[:, v] - lo]
-    keys = [grid[:, v] for v in range(len(ranges) - 1, -1, -1)]
-    keys.append(total)
-    order = np.lexsort(tuple(keys))
-    for idx in order:
-        y = tuple(int(g) for g in grid[idx])
-        if feasible(y):
-            return y, int(total[idx])
-    return None
-
-
 def _scan_lattice(ranges, tables, feasible) -> tuple[tuple[int, ...], int] | None:
     """Best-first walk of the grade lattice in (cost, lex) order.
 
     Children raise one coordinate at or right of the last raised one, so
-    every assignment is generated exactly once; costs are non-decreasing
-    along parent-child edges, which makes the heap order globally correct.
+    every assignment is generated exactly once. Cost tables never decrease
+    and a raised coordinate makes the vector lexicographically larger, so
+    every child's (cost, vector) key exceeds its parent's: the heap pops
+    assignments in globally sorted order while holding only the frontier.
     """
     n = len(ranges)
     floors = tuple(lo for lo, _ in ranges)
@@ -92,15 +71,6 @@ def _scan_lattice(ranges, tables, feasible) -> tuple[tuple[int, ...], int] | Non
                 child = y[:k] + (g + 1,) + y[k + 1 :]
                 heapq.heappush(heap, (cost + delta, child, k))
     return None
-
-
-def _scan(ranges, tables, feasible):
-    product = 1
-    for lo, hi in ranges:
-        product *= hi - lo + 1
-    if product <= _VECTOR_LIMIT:
-        return _scan_vectorised(ranges, tables, feasible)
-    return _scan_lattice(ranges, tables, feasible)
 
 
 def brute_force_optimum(instance: Instance, limit: int = 10) -> SolutionReport:
@@ -123,7 +93,7 @@ def brute_force_optimum(instance: Instance, limit: int = 10) -> SolutionReport:
     if product > _PRODUCT_CAP:
         raise SizeCapError(f"{product} candidate assignments exceed the oracle cap")
 
-    found = _scan(ranges, _cost_tables(instance, ranges), feasibility_tester(instance))
+    found = _scan_lattice(ranges, _cost_tables(instance, ranges), feasibility_tester(instance))
     if found is None:
         raise InternalInvariantError("a connected instance always has a feasible assignment")
     y, cost_micros = found
@@ -193,10 +163,7 @@ def build_ilp(instance: Instance, limit: int = 15) -> IlpModel:
     n = instance.num_vertices
     if n > limit:
         raise SizeCapError(f"cut enumeration limited to {limit} vertices, got {n}")
-    adj_mask = [0] * n
-    for u, v in instance.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
+    adj_mask = _edge_masks(n, instance.edges)
 
     cuts: list[CutRow] = []
     for grade in range(1, instance.grades + 1):
@@ -333,7 +300,7 @@ def solve_ilp_by_enumeration(model: IlpModel, cap: int = 24) -> IlpSolution:
                 return False
         return True
 
-    found = _scan(ranges, tables, feasible)
+    found = _scan_lattice(ranges, tables, feasible)
     if found is None:
         raise InternalInvariantError("cut model has no feasible point")
     y, objective = found

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .costs import Cost
 from .instance import (
@@ -203,7 +203,7 @@ def check_grt(
 def _subtree_demand(
     order: Sequence[int],
     children: dict[int, list[int]],
-    y: Sequence[int],
+    y: Sequence[int] | Mapping[int, int],
     marked: set[int],
 ) -> dict[int, int]:
     """Highest marked grade in each subtree; -1 where no marked vertex."""

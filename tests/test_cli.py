@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import vgsst.cli
 from vgsst import Cost, fig3_instance, instance_to_json, read_solution
 from vgsst.cli import main
 
@@ -184,6 +187,20 @@ def test_verify_flags_tampering(capsys, fig3_file, tmp_path):
     assert "witness pair" in out or "cost mismatch" in out
 
 
+def test_verify_rejects_forged_tree(capsys, fig3_file, tmp_path):
+    # A star of non-edges touching exactly the bought vertices, with the
+    # solver's own assignment and cost.
+    sol_path = tmp_path / "sol.json"
+    run(capsys, "solve", "--algorithm", "greedy", fig3_file, "-o", str(sol_path))
+    doc = json.loads(sol_path.read_text())
+    bought = [v for v, g in enumerate(doc["assignment"]) if g >= 1]
+    doc["tree_edges"] = [[bought[0], v] for v in bought[1:]]
+    sol_path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", fig3_file, str(sol_path))
+    assert code == 1
+    assert out.startswith("FAIL:") and "PASS" not in out
+
+
 def test_verify_zero_cost_ratio(capsys, tmp_path):
     inst = tmp_path / "free.json"
     inst.write_text(
@@ -266,3 +283,102 @@ def test_export_dot_matches_golden(capsys, fig3_file, tmp_path):
     _, out, _ = run(capsys, "export", "--dot", fig3_file, "--solution", sol)
     with open(golden, encoding="utf-8") as fh:
         assert out == fh.read()
+
+
+def _set(path, value):
+    """Document edit: store ``value`` at ``path`` (a key/index sequence)."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+# (file to corrupt, edit, extra argv, environment)
+MALFORMED = {
+    "instance-edges-not-a-list": ("instance", _set(["edges"], 5), [], {}),
+    "instance-terminals-not-a-list": ("instance", _set(["terminals"], {"vertex": 0}), [], {}),
+    "instance-ladder-not-a-list": ("instance", _set(["costs", 1], "12"), [], {}),
+    "instance-infinite-cost-string": ("instance", _set(["costs", 1, 0], "Infinity"), [], {}),
+    "instance-infinite-cost-literal": ("instance", _set(["costs", 1, 0], float("inf")), [], {}),
+    "instance-nan-cost": ("instance", _set(["costs", 1, 0], "NaN"), [], {}),
+    "instance-snan-cost": ("instance", _set(["costs", 1, 0], "sNaN"), [], {}),
+    "solution-short-tree-edge": ("solution", _set(["tree_edges"], [[1]]), [], {}),
+    "solution-tree-edges-not-a-list": ("solution", _set(["tree_edges"], 3), [], {}),
+    "solution-infinite-cost": ("solution", _set(["cost"], "Infinity"), [], {}),
+    "solution-negative-cost": ("solution", _set(["cost"], -1), [], {}),
+    "solution-zero-denominator": ("solution", _set(["iterations", 0, "gamma"], "1/0"), [], {}),
+    "gen-seed-env": (None, None, ["gen", "--random"], {"VGSST_SEED": "abc"}),
+    "bench-seed-env": (None, None, ["bench", "--count", "1"], {"VGSST_SEED": "abc"}),
+    "solve-zero-jobs": (None, None, ["solve", "--jobs", "0"], {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(capsys, fig3_file, tmp_path, monkeypatch, case):
+    target, edit, argv, env = MALFORMED[case]
+    sol_path = tmp_path / "sol.json"
+    run(capsys, "solve", "--algorithm", "greedy", fig3_file, "-o", str(sol_path))
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    if target == "instance":
+        doc = json.loads(open(fig3_file).read())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        argv = ["solve", str(bad), "-o", str(tmp_path / "out.json")]
+    elif target == "solution":
+        doc = json.loads(sol_path.read_text())
+        edit(doc)
+        sol_path.write_text(json.dumps(doc))
+        argv = ["verify", fig3_file, str(sol_path)]
+    elif argv[0] == "solve":
+        argv = argv + [fig3_file]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_jobs_are_clamped(capsys, tmp_path, monkeypatch):
+    class Recorder:
+        """Stands in for the process pool; runs the tasks in this process."""
+
+        workers = []
+
+        def __init__(self, max_workers):
+            Recorder.workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(vgsst.cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(vgsst.cli.os, "cpu_count", lambda: 8)
+    paths = []
+    for k in range(3):
+        p = str(tmp_path / f"r{k}.json")
+        run(capsys, "gen", "--random", "--n", "7", "--seed", str(40 + k), "-o", p)
+        paths.append(p)
+    assert run(capsys, "solve", "--jobs", "64", *paths)[0] == 0
+    assert run(capsys, "solve", "--jobs", "2", *paths)[0] == 0
+    assert run(capsys, "solve", "--jobs", "64", paths[0])[0] == 0
+    monkeypatch.setattr(vgsst.cli.os, "cpu_count", lambda: None)
+    assert run(capsys, "solve", "--jobs", "64", *paths)[0] == 0
+    # Bounded by the task count, then by --jobs; one worker runs in-process.
+    assert Recorder.workers == [3, 2]
+
+
+def test_import_pulls_in_no_numpy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, vgsst; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -21,6 +21,12 @@ def test_parse_rejects_extra_precision():
         Cost.parse(Decimal("1e-7"))
 
 
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "sNaN", Decimal("Infinity")])
+def test_parse_rejects_non_finite(value):
+    with pytest.raises(CostPrecisionError):
+        Cost.parse(value)
+
+
 def test_parse_rejects_floats_and_negatives():
     with pytest.raises(TypeError):
         Cost.parse(0.1)

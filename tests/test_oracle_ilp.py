@@ -23,8 +23,6 @@ from vgsst import (
     solve_bottomup,
     greedy_as_vst,
 )
-from vgsst.oracle import _scan_lattice, _scan_vectorised, _assignment_ranges, _cost_tables
-from vgsst.instance import feasibility_tester
 
 from conftest import mixed_corpus
 
@@ -69,15 +67,6 @@ def test_oracle_prefers_lexicographically_smallest():
     )
     report = brute_force_optimum(inst)
     assert report.assignment == (1, 0, 1, 1)
-
-
-def test_scan_backends_agree():
-    for inst in mixed_corpus(25, seed0=7100, max_n=7):
-        ranges = _assignment_ranges(inst)
-        tables = _cost_tables(inst, ranges)
-        vec = _scan_vectorised(ranges, tables, feasibility_tester(inst))
-        lat = _scan_lattice(ranges, tables, feasibility_tester(inst))
-        assert vec == lat
 
 
 def test_oracle_handles_unnormalized_instances():
