@@ -1,6 +1,9 @@
 """Merge solver: worked-example trace, candidate search, invariants."""
 
+import json
 import math
+import os
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,10 +19,12 @@ from vgsst import (
     check_grt,
     graded_shortest_paths,
     init_forest,
+    random_instance,
     select_global_candidate,
     solution_cost,
     solve_greedy,
 )
+from vgsst.io import solution_to_json
 from vgsst.instance import spanning_tree_by_levels
 
 from conftest import mixed_corpus
@@ -370,3 +375,26 @@ def test_selection_attains_exhaustive_minimum():
                 f"scan found {cand.gamma}, exhaustive search {reference}"
             )
             apply_merge(forest, cand)
+
+
+# ---------------------------------------------------------------------------
+# Pinned merge sequences
+
+GOLDEN_RECORDS = os.path.join(os.path.dirname(__file__), "golden", "greedy_records.json")
+
+
+def _exact(text):
+    return json.loads(text, parse_float=Decimal)
+
+
+def test_greedy_matches_pinned_records():
+    # Each entry is solution_to_json(solve_greedy(inst)) for the instance its
+    # key names: assignment, tree, cost and every IterationRecord (ratio,
+    # incurred cost, root, center, grade, subset), compared exactly.
+    with open(GOLDEN_RECORDS, encoding="utf-8") as fh:
+        golden = _exact(fh.read())
+    cases = [(n, levels, seed) for n in (30, 60, 90, 120) for levels in (2, 3) for seed in (1, 2)]
+    assert list(golden) == [f"n={n} levels={levels} seed={seed}" for n, levels, seed in cases]
+    for (n, levels, seed), expected in zip(cases, golden.values()):
+        inst = random_instance(n, levels, seed=seed, edge_prob=6 / n, terminal_fraction=0.3)
+        assert _exact(solution_to_json(solve_greedy(inst))) == expected, (n, levels, seed)
