@@ -41,7 +41,7 @@ from .io import (
     solution_to_json,
     write_atomic,
 )
-from .oracle import build_ilp, export_lp, brute_force_optimum
+from .oracle import _assignment_ranges, build_ilp, export_lp, brute_force_optimum
 from .reductions import check_grt
 
 _ORACLE_VERTEX_LIMIT = 10
@@ -104,6 +104,12 @@ def cmd_solve(args) -> int:
 
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    # Refuse instances beyond the oracle's caps before anything is solved.
+    oracle_inputs = {}
+    if args.ratio or args.algorithm == "exact":
+        for path in args.input:
+            oracle_inputs[path] = read_instance(path)
+            _assignment_ranges(oracle_inputs[path], _ORACLE_VERTEX_LIMIT)
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -114,8 +120,7 @@ def cmd_solve(args) -> int:
     for path, out, line in results:
         print(line)
         if args.ratio:
-            instance = read_instance(path)
-            optimum = brute_force_optimum(instance, limit=_ORACLE_VERTEX_LIMIT)
+            optimum = brute_force_optimum(oracle_inputs[path], limit=_ORACLE_VERTEX_LIMIT)
             report = read_solution(out)
             print(f"{path}: ratio {_ratio_text(report.total_cost, optimum.total_cost)}")
     return 0

@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .costs import COST_SCALE, Cost
+from .costs import Cost, ratio
 from .instance import (
     GradeAssignment,
     InfeasibleAssignmentError,
@@ -67,14 +67,16 @@ class GradedDistanceRow:
 
 @dataclass(frozen=True)
 class MergeCandidate:
-    """One legal merge with its exact ratio and reconstructed paths."""
+    """One legal merge with its exact ratio and reconstructed paths.
+
+    ``leg_paths[k]`` runs from the center to ``subset_roots[k]``.
+    """
 
     root: int
     center: int
     grade: int
     subset_roots: tuple[int, ...]
     gamma: Fraction
-    numerator_micros: int
     root_path: tuple[int, ...]
     leg_paths: tuple[tuple[int, ...], ...]
     forest_version: int
@@ -82,11 +84,6 @@ class MergeCandidate:
     @property
     def merged_count(self) -> int:
         return 1 + len(self.subset_roots)
-
-    def sort_key(self):
-        # Deterministic tie-break: grade, then center id, then root id,
-        # then larger subsets first.
-        return (self.gamma, self.grade, self.center, self.root, -len(self.subset_roots))
 
 
 class GrtForest:
@@ -136,9 +133,11 @@ def graded_shortest_paths(
 
     Ties settle by vertex id, so predecessor chains are reproducible.
     """
+    n = forest.instance.num_vertices
+    if not 0 <= source < n:
+        raise InputError(f"source {source} out of range")
     if not 1 <= grade <= forest.instance.grades:
         raise InputError(f"grade {grade} out of range")
-    n = forest.instance.num_vertices
     w = [forest.w[v][grade - 1] for v in range(n)]
     adjacency = forest.instance.adjacency
     INF = float("inf")
@@ -171,148 +170,126 @@ def graded_shortest_paths(
     )
 
 
-class _RootTables:
-    """Per-root distance rows, one per grade up to the root's requirement."""
-
-    def __init__(self, forest: GrtForest):
-        self.rows: dict[tuple[int, int], GradedDistanceRow] = {}
-        for root in forest.roots():
-            top = forest.instance.required[root]
-            for grade in range(1, top + 1):
-                self.rows[(root, grade)] = graded_shortest_paths(forest, root, grade)
-
-    def row(self, root: int, grade: int) -> GradedDistanceRow:
-        return self.rows[(root, grade)]
+def _root_tables(forest: GrtForest) -> dict[tuple[int, int], GradedDistanceRow]:
+    """Per-root distance rows keyed (root, grade), one per grade up to the
+    root's requirement."""
+    required = forest.instance.required
+    return {
+        (root, grade): graded_shortest_paths(forest, root, grade)
+        for root in forest.roots()
+        for grade in range(1, required[root] + 1)
+    }
 
 
-def _candidates_for(
-    forest: GrtForest, center: int, grade: int, tables: _RootTables
-):
-    """Yield the ratio-minimal merge candidates for one (center, grade) pair.
+def _candidates_for(forest: GrtForest, center: int, grade: int, tables: dict):
+    """Yield the scores of the ratio-minimal merges for one (center, grade) pair.
+
+    Each score is ``(numerator micros, merged count, root, eligible, m)``:
+    the merge joins ``root`` to the roots of ``eligible[:m]`` other than
+    ``root``, at ratio numerator / (merged count * COST_SCALE).
 
     Trees whose root demands at most ``grade`` are sorted by their distance
-    to the center under their own grade; the best subset of each size is a
-    prefix of that order. Two root choices exist: the nearest tree with a
-    strictly higher demand (connected at ``grade``), or promoting a
-    highest-demand tree out of the prefix itself, in which case the center
-    grade equals that demand — prefixes whose top demand is lower are
-    produced by the scan at that lower grade instead.
+    to the center under their own grade into ``eligible`` (pairs of native
+    distance and root id); the best subset of each size is a prefix of
+    that order. Two root choices exist: the nearest tree with a strictly
+    higher demand (connected at ``grade``), or promoting the smallest-id
+    tree demanding exactly ``grade`` out of the prefix itself. Prefixes
+    whose top demand is lower are scored by the scan at that lower grade
+    instead.
     """
-    instance = forest.instance
-    required = instance.required
-    eligible = []  # (native distance, root id)
+    required = forest.instance.required
+    eligible = []
     outside = []  # roots with demand above `grade`
     for root in forest.roots():
         r = required[root]
         if r <= grade:
-            native = tables.row(root, r).interior_micros[center]
-            eligible.append((native, root))
+            eligible.append((tables[(root, r)].interior_micros[center], root))
         else:
             outside.append(root)
     eligible.sort()
     w_center = forest.w[center][grade - 1]
 
     if outside and eligible:
-        best_root = min(
-            outside, key=lambda r: (tables.row(r, grade).interior_micros[center], r)
+        root_dist, best_root = min(
+            (tables[(r, grade)].interior_micros[center], r) for r in outside
         )
-        root_dist = tables.row(best_root, grade).interior_micros[center]
-        prefix_sum = 0
-        for m, (native, root) in enumerate(eligible, start=1):
-            prefix_sum += native
-            numerator = root_dist + w_center + prefix_sum
-            yield _build_candidate(
-                forest,
-                tables,
-                root=best_root,
-                center=center,
-                grade=grade,
-                subset=[r for _, r in eligible[:m]],
-                numerator=numerator,
-            )
+        numerator = root_dist + w_center
+        for m, (native, _) in enumerate(eligible, start=1):
+            numerator += native
+            yield numerator, m + 1, best_root, eligible, m
 
-    # Promoted root: merge a prefix on its own, rooted at a tree whose
-    # demand equals the prefix maximum. Only emitted when that maximum is
-    # exactly `grade`, keeping each such candidate to a single scan slot.
-    prefix_sum = 0
-    prefix_max = 0
+    numerator = w_center
+    promoted = None
     for m, (native, root) in enumerate(eligible, start=1):
-        prefix_sum += native
-        prefix_max = max(prefix_max, required[root])
-        if m < 2 or prefix_max != grade:
-            continue
-        promoted = min(r for _, r in eligible[:m] if required[r] == prefix_max)
-        numerator = w_center + prefix_sum
-        yield _build_candidate(
-            forest,
-            tables,
-            root=promoted,
-            center=center,
-            grade=grade,
-            subset=[r for _, r in eligible[:m] if r != promoted],
-            numerator=numerator,
-        )
+        numerator += native
+        if required[root] == grade and (promoted is None or root < promoted):
+            promoted = root
+        if m >= 2 and promoted is not None:
+            yield numerator, m, promoted, eligible, m
 
 
-def _build_candidate(
-    forest: GrtForest,
-    tables: _RootTables,
-    root: int,
-    center: int,
-    grade: int,
-    subset: list[int],
-    numerator: int,
-) -> MergeCandidate:
+def _best(forest: GrtForest, pairs, tables: dict) -> MergeCandidate | None:
+    """The ratio-minimal merge over the given (center, grade) pairs.
+
+    Ratios are compared by cross-multiplying integers; ties go to the
+    lower grade, then center, then root, then the larger subset. Only the
+    winner gets its paths reconstructed.
+    """
+    best = None
+    for center, grade in pairs:
+        for numerator, merged, root, eligible, m in _candidates_for(
+            forest, center, grade, tables
+        ):
+            if best is not None:
+                lhs, rhs = numerator * best[1], best[0] * merged
+                if lhs > rhs or (lhs == rhs and (grade, center, root, -merged) >= best[2:6]):
+                    continue
+            best = (numerator, merged, grade, center, root, -merged, eligible, m)
+    if best is None:
+        return None
+    numerator, merged, grade, center, root, _, eligible, m = best
     required = forest.instance.required
-    merged = 1 + len(subset)
-    # External roots connect at the candidate grade; promoted roots have
-    # required == grade, so this row is always present.
-    root_row = tables.row(root, min(grade, required[root]))
-    leg_paths = tuple(
-        tuple(reversed(tables.row(r, required[r]).path_to(center))) for r in subset
-    )
+    subset = sorted(r for _, r in eligible[:m] if r != root)
     return MergeCandidate(
         root=root,
         center=center,
         grade=grade,
-        subset_roots=tuple(sorted(subset)),
-        gamma=Fraction(numerator, merged * COST_SCALE),
-        numerator_micros=numerator,
-        root_path=root_row.path_to(center),
-        leg_paths=leg_paths,
+        subset_roots=tuple(subset),
+        gamma=ratio(Cost.from_micros(numerator), merged),
+        # External roots connect at the candidate grade; promoted roots
+        # have required == grade, so this row is always present.
+        root_path=tables[(root, min(grade, required[root]))].path_to(center),
+        leg_paths=tuple(
+            tuple(reversed(tables[(r, required[r])].path_to(center))) for r in subset
+        ),
         forest_version=forest.version,
     )
 
 
 def best_candidate_for(
-    forest: GrtForest, center: int, grade: int, tables: _RootTables | None = None
+    forest: GrtForest, center: int, grade: int
 ) -> MergeCandidate | None:
     """Ratio-minimal legal merge for a fixed center and grade, if any."""
     if len(forest) < 2:
         raise InputError("need at least two trees to merge")
-    if tables is None:
-        tables = _RootTables(forest)
-    best: MergeCandidate | None = None
-    for cand in _candidates_for(forest, center, grade, tables):
-        if best is None or cand.sort_key() < best.sort_key():
-            best = cand
-    return best
+    if not 0 <= center < forest.instance.num_vertices:
+        raise InputError(f"center {center} out of range")
+    if not 1 <= grade <= forest.instance.grades:
+        raise InputError(f"grade {grade} out of range")
+    return _best(forest, [(center, grade)], _root_tables(forest))
 
 
-def select_global_candidate(
-    forest: GrtForest, tables: _RootTables | None = None
-) -> MergeCandidate:
+def select_global_candidate(forest: GrtForest) -> MergeCandidate:
     """Scan every (center, grade) pair and return the overall best merge."""
     if len(forest) < 2:
         raise InputError("need at least two trees to merge")
-    if tables is None:
-        tables = _RootTables(forest)
-    best: MergeCandidate | None = None
-    for center in range(forest.instance.num_vertices):
-        for grade in range(1, forest.instance.grades + 1):
-            for cand in _candidates_for(forest, center, grade, tables):
-                if best is None or cand.sort_key() < best.sort_key():
-                    best = cand
+    instance = forest.instance
+    pairs = (
+        (center, grade)
+        for center in range(instance.num_vertices)
+        for grade in range(1, instance.grades + 1)
+    )
+    best = _best(forest, pairs, _root_tables(forest))
     if best is None:
         raise InternalInvariantError("no legal merge found with two or more trees")
     return best

@@ -31,12 +31,26 @@ from .instance import (
 _PRODUCT_CAP = 10**7
 
 
-def _assignment_ranges(instance: Instance) -> list[tuple[int, int]]:
-    """Per-vertex inclusive grade ranges: terminals start at their demand."""
-    return [
+def _assignment_ranges(instance: Instance, limit: int) -> list[tuple[int, int]]:
+    """Per-vertex inclusive grade ranges: terminals start at their demand.
+
+    Raises SizeCapError beyond ``limit`` vertices or ``_PRODUCT_CAP``
+    candidate assignments.
+    """
+    if instance.num_vertices > limit:
+        raise SizeCapError(
+            f"oracle limited to {limit} vertices, got {instance.num_vertices}"
+        )
+    ranges = [
         (instance.required.get(v, 0), instance.grades)
         for v in range(instance.num_vertices)
     ]
+    product = 1
+    for lo, hi in ranges:
+        product *= hi - lo + 1
+    if product > _PRODUCT_CAP:
+        raise SizeCapError(f"{product} candidate assignments exceed the oracle cap")
+    return ranges
 
 
 def _cost_tables(instance: Instance, ranges) -> list[list[int]]:
@@ -82,17 +96,7 @@ def brute_force_optimum(instance: Instance, limit: int = 10) -> SolutionReport:
     candidates.
     """
     assert_valid(instance, structural_only=True)
-    if instance.num_vertices > limit:
-        raise SizeCapError(
-            f"oracle limited to {limit} vertices, got {instance.num_vertices}"
-        )
-    ranges = _assignment_ranges(instance)
-    product = 1
-    for lo, hi in ranges:
-        product *= hi - lo + 1
-    if product > _PRODUCT_CAP:
-        raise SizeCapError(f"{product} candidate assignments exceed the oracle cap")
-
+    ranges = _assignment_ranges(instance, limit)
     found = _scan_lattice(ranges, _cost_tables(instance, ranges), feasibility_tester(instance))
     if found is None:
         raise InternalInvariantError("a connected instance always has a feasible assignment")

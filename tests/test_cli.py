@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import vgsst.cli
-from vgsst import Cost, fig3_instance, instance_to_json, read_solution
+from vgsst import Cost, fig3_instance, instance_to_json, random_instance, read_solution
 from vgsst.cli import main
 
 
@@ -73,6 +73,18 @@ def test_solve_ratio_flag(capsys, fig3_file, tmp_path):
     )
     assert code == 0
     assert "ratio 1.0" in out
+
+
+@pytest.mark.parametrize("flags", [["--ratio"], ["--algorithm", "exact"]])
+def test_solve_refuses_oracle_sized_inputs_before_solving(capsys, fig3_file, tmp_path, flags):
+    # fig3 fits the oracle; the second file does not, so nothing may be solved.
+    big = tmp_path / "big.json"
+    big.write_text(instance_to_json(random_instance(14, 2, seed=1)))
+    code, out, err = run(capsys, "solve", fig3_file, str(big), *flags)
+    assert code == 4
+    assert "oracle limited to 10 vertices" in err
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json", "fig3.json"]
 
 
 def test_solve_normalizes_costly_terminals(capsys, tmp_path):

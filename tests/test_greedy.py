@@ -10,6 +10,7 @@ import pytest
 
 from vgsst import (
     Cost,
+    InputError,
     Instance,
     StaleCandidateError,
     apply_merge,
@@ -99,6 +100,41 @@ def test_best_candidate_second_round(fig3):
     assert cand.root == 0
     assert cand.subset_roots == (5,)
     assert cand.gamma == Fraction(13)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda forest: best_candidate_for(forest, center=-1, grade=1),
+        lambda forest: best_candidate_for(forest, center=8, grade=1),
+        lambda forest: best_candidate_for(forest, center=4, grade=0),
+        lambda forest: best_candidate_for(forest, center=4, grade=3),
+        lambda forest: graded_shortest_paths(forest, -1, 1),
+        lambda forest: graded_shortest_paths(forest, 8, 1),
+        lambda forest: graded_shortest_paths(forest, 0, 3),
+    ],
+    ids=["center-1", "center8", "grade0", "grade3", "source-1", "source8", "row-grade3"],
+)
+def test_out_of_range_center_grade_or_source_rejected(fig3, call):
+    with pytest.raises(InputError):
+        call(init_forest(fig3))
+
+
+def test_leg_paths_follow_subset_roots():
+    # apply_merge lifts leg k to the demand of subset_roots[k], so leg k
+    # must run from the center to that root. Seed 280 merges a subset
+    # whose distance order differs from its id order.
+    corpus = mixed_corpus(10, seed0=5100)
+    corpus.append(random_instance(10, 2, seed=280, edge_prob=0.3, num_terminals=7))
+    for inst in corpus:
+        forest = init_forest(inst)
+        while len(forest) > 1:
+            cand = select_global_candidate(forest)
+            assert cand.root_path[0] == cand.root and cand.root_path[-1] == cand.center
+            assert [(p[0], p[-1]) for p in cand.leg_paths] == [
+                (cand.center, r) for r in cand.subset_roots
+            ]
+            apply_merge(forest, cand)
 
 
 def test_no_candidate_when_no_tree_fits_under_grade(fig3):
