@@ -430,6 +430,7 @@ def test_greedy_matches_pinned_records():
     with open(GOLDEN_RECORDS, encoding="utf-8") as fh:
         golden = _exact(fh.read())
     cases = [(n, levels, seed) for n in (30, 60, 90, 120) for levels in (2, 3) for seed in (1, 2)]
+    cases += [(200, levels, 1) for levels in (2, 3)]
     assert list(golden) == [f"n={n} levels={levels} seed={seed}" for n, levels, seed in cases]
     for (n, levels, seed), expected in zip(cases, golden.values()):
         inst = random_instance(n, levels, seed=seed, edge_prob=6 / n, terminal_fraction=0.3)
