@@ -120,8 +120,12 @@ def cmd_solve(args) -> int:
     for path, out, line in results:
         print(line)
         if args.ratio:
-            optimum = brute_force_optimum(oracle_inputs[path], limit=_ORACLE_VERTEX_LIMIT)
             report = read_solution(out)
+            # An exact solve's report already is the optimum.
+            if args.algorithm == "exact":
+                optimum = report
+            else:
+                optimum = brute_force_optimum(oracle_inputs[path], limit=_ORACLE_VERTEX_LIMIT)
             print(f"{path}: ratio {_ratio_text(report.total_cost, optimum.total_cost)}")
     return 0
 

@@ -11,6 +11,12 @@ with the best exact cost-to-connectivity ratio
 and joins a root tree to a subset of others through a chosen center
 vertex, upgrading grades along the connecting paths. Terminates when a
 single tree remains; the cost is within 2*ln(#terminals) of optimal.
+
+The distances come from per-(root, grade) rows of plain integers that
+live on the forest across rounds: the first scan fills them by Dijkstra,
+and each merge, which only ever lowers weights, repairs them in place.
+Only the winner's paths are rebuilt by a fresh Dijkstra, which also
+checks the rows it reads.
 """
 
 from __future__ import annotations
@@ -91,7 +97,11 @@ class GrtForest:
 
     Trees are keyed by their root vertex; member sets may overlap. ``y``
     holds current grades, ``w[v][i-1]`` the exact incremental cost of
-    lifting v to grade i from its current grade.
+    lifting v to grade i from its current grade. ``rows[(root, grade)]``
+    lists, per vertex, the interior distance in micros from ``root`` under
+    that grade's weights (as ``GradedDistanceRow.interior_micros``), for
+    each grade up to the root's requirement; the first scan fills it and
+    ``apply_merge`` keeps it current.
     """
 
     def __init__(self, instance: Instance):
@@ -106,6 +116,7 @@ class GrtForest:
             v: {v} for v in instance.terminals
         }
         self.version = 0
+        self.rows: dict[tuple[int, int], list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -170,40 +181,54 @@ def graded_shortest_paths(
     )
 
 
-def _root_tables(forest: GrtForest) -> dict[tuple[int, int], GradedDistanceRow]:
-    """Per-root distance rows keyed (root, grade), one per grade up to the
-    root's requirement."""
-    required = forest.instance.required
-    return {
-        (root, grade): graded_shortest_paths(forest, root, grade)
-        for root in forest.roots()
-        for grade in range(1, required[root] + 1)
-    }
+def _repair_row(row: list[int], source: int, w: list[int], adjacency, changed) -> None:
+    """Lower ``row`` in place after the weights ``w`` of ``changed`` fell.
+
+    A Dijkstra over labels ``row[v] + w[v]`` seeded at the changed
+    vertices that only ever decreases entries. It is exact because weights
+    never rise: the first vertex on a new shortest path whose entry is
+    still too high has a correct predecessor, whose label either fell
+    (its weight changed, so it was seeded, or its entry fell, so it was
+    pushed) or did not (then the old entry was already right).
+    """
+    heap = [(row[v] + w[v], v) for v in changed if v != source]
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d != row[u] + w[u]:
+            continue
+        for x in adjacency[u]:
+            # row[source] is 0, so the source is never lowered.
+            if d < row[x]:
+                row[x] = d
+                heapq.heappush(heap, (d + w[x], x))
 
 
-def _candidates_for(forest: GrtForest, center: int, grade: int, tables: dict):
+def _candidates_for(forest: GrtForest, center: int, grade: int, roots: list[int]):
     """Yield the scores of the ratio-minimal merges for one (center, grade) pair.
 
     Each score is ``(numerator micros, merged count, root, eligible, m)``:
     the merge joins ``root`` to the roots of ``eligible[:m]`` other than
     ``root``, at ratio numerator / (merged count * COST_SCALE).
 
-    Trees whose root demands at most ``grade`` are sorted by their distance
-    to the center under their own grade into ``eligible`` (pairs of native
-    distance and root id); the best subset of each size is a prefix of
-    that order. Two root choices exist: the nearest tree with a strictly
-    higher demand (connected at ``grade``), or promoting the smallest-id
-    tree demanding exactly ``grade`` out of the prefix itself. Prefixes
-    whose top demand is lower are scored by the scan at that lower grade
-    instead.
+    ``roots`` is the sorted list of tree roots, and distances are read from
+    the integer lists in ``forest.rows``. Trees whose root demands at most
+    ``grade`` are sorted by their distance to the center under their own
+    grade into ``eligible`` (pairs of native distance and root id); the
+    best subset of each size is a prefix of that order. Two root choices
+    exist: the nearest tree with a strictly higher demand (connected at
+    ``grade``), or promoting the smallest-id tree demanding exactly
+    ``grade`` out of the prefix itself. Prefixes whose top demand is lower
+    are scored by the scan at that lower grade instead.
     """
     required = forest.instance.required
+    rows = forest.rows
     eligible = []
     outside = []  # roots with demand above `grade`
-    for root in forest.roots():
+    for root in roots:
         r = required[root]
         if r <= grade:
-            eligible.append((tables[(root, r)].interior_micros[center], root))
+            eligible.append((rows[(root, r)][center], root))
         else:
             outside.append(root)
     eligible.sort()
@@ -211,7 +236,7 @@ def _candidates_for(forest: GrtForest, center: int, grade: int, tables: dict):
 
     if outside and eligible:
         root_dist, best_root = min(
-            (tables[(r, grade)].interior_micros[center], r) for r in outside
+            (rows[(r, grade)][center], r) for r in outside
         )
         numerator = root_dist + w_center
         for m, (native, _) in enumerate(eligible, start=1):
@@ -228,17 +253,36 @@ def _candidates_for(forest: GrtForest, center: int, grade: int, tables: dict):
             yield numerator, m, promoted, eligible, m
 
 
-def _best(forest: GrtForest, pairs, tables: dict) -> MergeCandidate | None:
+def _winner_path(forest: GrtForest, source: int, grade: int, center: int):
+    """Path from ``source`` to ``center`` by a fresh Dijkstra, whose
+    distances must equal the cached row's."""
+    fresh = graded_shortest_paths(forest, source, grade)
+    if list(fresh.interior_micros) != forest.rows[(source, grade)]:
+        raise InternalInvariantError(
+            f"cached distance row of root {source} at grade {grade} is stale"
+        )
+    return fresh.path_to(center)
+
+
+def _best(forest: GrtForest, pairs) -> MergeCandidate | None:
     """The ratio-minimal merge over the given (center, grade) pairs.
 
-    Ratios are compared by cross-multiplying integers; ties go to the
-    lower grade, then center, then root, then the larger subset. Only the
-    winner gets its paths reconstructed.
+    Fills any missing distance row first. Ratios are compared by
+    cross-multiplying integers; ties go to the lower grade, then center,
+    then root, then the larger subset. Only the winner gets its paths
+    reconstructed.
     """
+    required = forest.instance.required
+    roots = forest.roots()
+    for root in roots:
+        for g in range(1, required[root] + 1):
+            if (root, g) not in forest.rows:
+                row = graded_shortest_paths(forest, root, g).interior_micros
+                forest.rows[(root, g)] = list(row)
     best = None
     for center, grade in pairs:
         for numerator, merged, root, eligible, m in _candidates_for(
-            forest, center, grade, tables
+            forest, center, grade, roots
         ):
             if best is not None:
                 lhs, rhs = numerator * best[1], best[0] * merged
@@ -248,7 +292,6 @@ def _best(forest: GrtForest, pairs, tables: dict) -> MergeCandidate | None:
     if best is None:
         return None
     numerator, merged, grade, center, root, _, eligible, m = best
-    required = forest.instance.required
     subset = sorted(r for _, r in eligible[:m] if r != root)
     return MergeCandidate(
         root=root,
@@ -258,9 +301,9 @@ def _best(forest: GrtForest, pairs, tables: dict) -> MergeCandidate | None:
         gamma=ratio(Cost.from_micros(numerator), merged),
         # External roots connect at the candidate grade; promoted roots
         # have required == grade, so this row is always present.
-        root_path=tables[(root, min(grade, required[root]))].path_to(center),
+        root_path=_winner_path(forest, root, min(grade, required[root]), center),
         leg_paths=tuple(
-            tuple(reversed(tables[(r, required[r])].path_to(center))) for r in subset
+            tuple(reversed(_winner_path(forest, r, required[r], center))) for r in subset
         ),
         forest_version=forest.version,
     )
@@ -276,7 +319,7 @@ def best_candidate_for(
         raise InputError(f"center {center} out of range")
     if not 1 <= grade <= forest.instance.grades:
         raise InputError(f"grade {grade} out of range")
-    return _best(forest, [(center, grade)], _root_tables(forest))
+    return _best(forest, [(center, grade)])
 
 
 def select_global_candidate(forest: GrtForest) -> MergeCandidate:
@@ -289,7 +332,7 @@ def select_global_candidate(forest: GrtForest) -> MergeCandidate:
         for center in range(instance.num_vertices)
         for grade in range(1, instance.grades + 1)
     )
-    best = _best(forest, pairs, _root_tables(forest))
+    best = _best(forest, pairs)
     if best is None:
         raise InternalInvariantError("no legal merge found with two or more trees")
     return best
@@ -297,7 +340,8 @@ def select_global_candidate(forest: GrtForest) -> MergeCandidate:
 
 def apply_merge(forest: GrtForest, candidate: MergeCandidate) -> IterationRecord:
     """Execute a merge: lift grades along its paths, refresh weights,
-    replace the participating trees by one tree rooted at the candidate root.
+    replace the participating trees by one tree rooted at the candidate root,
+    and repair the distance rows of the remaining roots.
     """
     if candidate.forest_version != forest.version:
         raise StaleCandidateError(
@@ -329,21 +373,33 @@ def apply_merge(forest: GrtForest, candidate: MergeCandidate) -> IterationRecord
 
     # Incremental weights: everything at or below the new grade is paid
     # for; higher grades cost only the remaining increment.
+    changed: dict[int, list[int]] = {}  # grade -> vertices whose weight fell
     for v in members:
         y_v = forest.y[v]
         paid = forest.w[v][y_v - 1] if y_v >= 1 else 0
         row = forest.w[v]
         for j in range(instance.grades):
-            if j + 1 <= y_v:
-                row[j] = 0
-            else:
-                row[j] -= paid
+            new = 0 if j + 1 <= y_v else row[j] - paid
+            if new != row[j]:
+                if new > row[j]:
+                    raise InternalInvariantError(
+                        f"weight of vertex {v} at grade {j + 1} rose in a merge"
+                    )
+                row[j] = new
+                changed.setdefault(j + 1, []).append(v)
 
     del forest.trees[candidate.root]
     for r in candidate.subset_roots:
         del forest.trees[r]
+        for g in range(1, required[r] + 1):
+            del forest.rows[(r, g)]
     forest.trees[candidate.root] = members
     forest.version += 1
+
+    columns = {g: [ladder[g - 1] for ladder in forest.w] for g in changed}
+    for (source, g), row in forest.rows.items():
+        if g in changed:
+            _repair_row(row, source, columns[g], instance.adjacency, changed[g])
 
     record = IterationRecord(
         gamma=candidate.gamma,

@@ -75,6 +75,25 @@ def test_solve_ratio_flag(capsys, fig3_file, tmp_path):
     assert "ratio 1.0" in out
 
 
+def test_solve_exact_ratio_runs_the_oracle_once(capsys, fig3_file, tmp_path, monkeypatch):
+    calls = []
+    oracle = vgsst.cli.brute_force_optimum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(vgsst.cli, "brute_force_optimum", counting)
+    code, out, _ = run(
+        capsys,
+        "solve", "--algorithm", "exact", fig3_file,
+        "-o", str(tmp_path / "s.json"), "--ratio",
+    )
+    assert code == 0
+    assert "ratio 1.0" in out
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("flags", [["--ratio"], ["--algorithm", "exact"]])
 def test_solve_refuses_oracle_sized_inputs_before_solving(capsys, fig3_file, tmp_path, flags):
     # fig3 fits the oracle; the second file does not, so nothing may be solved.

@@ -12,6 +12,7 @@ from vgsst import (
     Cost,
     InputError,
     Instance,
+    InternalInvariantError,
     StaleCandidateError,
     apply_merge,
     best_candidate_for,
@@ -411,6 +412,61 @@ def test_selection_attains_exhaustive_minimum():
                 f"scan found {cand.gamma}, exhaustive search {reference}"
             )
             apply_merge(forest, cand)
+
+
+# ---------------------------------------------------------------------------
+# Distance rows kept across rounds
+
+
+def _with_free_vertices(inst):
+    """The same instance with every third vertex free at every grade."""
+    return Instance.build(
+        inst.num_vertices,
+        inst.edges,
+        inst.grades,
+        inst.required,
+        [
+            [0] * inst.grades if v % 3 == 0 else list(inst.costs[v])
+            for v in range(inst.num_vertices)
+        ],
+    )
+
+
+def test_cached_rows_stay_exact():
+    corpus = mixed_corpus(40, seed0=5200)
+    corpus += [
+        _with_free_vertices(
+            random_instance(
+                n=12 + 4 * k, levels=1 + k % 3, seed=5300 + k, edge_prob=0.3,
+                num_terminals=5 + k,
+            )
+        )
+        for k in range(6)
+    ]
+    corpus.append(
+        Instance.build(4, [(0, 1), (1, 2), (2, 3)], 2, {0: 2, 3: 2}, [[0, 0]] * 4)
+    )
+    for inst in corpus:
+        forest = init_forest(inst)
+        while len(forest) > 1:
+            apply_merge(forest, select_global_candidate(forest))
+            assert set(forest.rows) == {
+                (r, g) for r in forest.trees for g in range(1, inst.required[r] + 1)
+            }
+            for (r, g), row in forest.rows.items():
+                assert row == list(graded_shortest_paths(forest, r, g).interior_micros)
+
+
+def test_corrupted_cached_row_is_caught(fig3):
+    forest = init_forest(fig3)
+    cand = select_global_candidate(forest)
+    key = (cand.root, min(cand.grade, fig3.required[cand.root]))
+    # Raising an entry away from the winning center cannot change the winner,
+    # so the next scan rebuilds the same root path and compares its row.
+    far = next(v for v in range(fig3.num_vertices) if v != cand.center)
+    forest.rows[key][far] += 1
+    with pytest.raises(InternalInvariantError, match="stale"):
+        select_global_candidate(forest)
 
 
 # ---------------------------------------------------------------------------
