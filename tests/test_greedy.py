@@ -479,15 +479,40 @@ def _exact(text):
     return json.loads(text, parse_float=Decimal)
 
 
+def _uniform_ladders(inst):
+    """The same graph and demands with every ladder 1, 2, ..., L, and each
+    terminal free up to its demand: ratios tie all over the scan."""
+    return Instance.build(
+        inst.num_vertices,
+        inst.edges,
+        inst.grades,
+        inst.required,
+        [
+            [0 if g <= inst.required.get(v, 0) else g for g in range(1, inst.grades + 1)]
+            for v in range(inst.num_vertices)
+        ],
+    )
+
+
 def test_greedy_matches_pinned_records():
     # Each entry is solution_to_json(solve_greedy(inst)) for the instance its
     # key names: assignment, tree, cost and every IterationRecord (ratio,
-    # incurred cost, root, center, grade, subset), compared exactly.
+    # incurred cost, root, center, grade, subset), compared exactly. The
+    # "uniform" entries put _uniform_ladders on the same graphs, so the
+    # tie-breaks are pinned too.
     with open(GOLDEN_RECORDS, encoding="utf-8") as fh:
         golden = _exact(fh.read())
-    cases = [(n, levels, seed) for n in (30, 60, 90, 120) for levels in (2, 3) for seed in (1, 2)]
-    cases += [(200, levels, 1) for levels in (2, 3)]
-    assert list(golden) == [f"n={n} levels={levels} seed={seed}" for n, levels, seed in cases]
-    for (n, levels, seed), expected in zip(cases, golden.values()):
+    cases = [
+        (n, levels, seed, False) for n in (30, 60, 90, 120) for levels in (2, 3) for seed in (1, 2)
+    ]
+    cases += [(200, levels, 1, False) for levels in (2, 3)]
+    cases += [(n, levels, 1, True) for n in (30, 60, 90, 120) for levels in (2, 3)]
+    assert list(golden) == [
+        f"n={n} levels={levels} seed={seed}" + (" uniform" if uniform else "")
+        for n, levels, seed, uniform in cases
+    ]
+    for (n, levels, seed, uniform), expected in zip(cases, golden.values()):
         inst = random_instance(n, levels, seed=seed, edge_prob=6 / n, terminal_fraction=0.3)
-        assert _exact(solution_to_json(solve_greedy(inst))) == expected, (n, levels, seed)
+        if uniform:
+            inst = _uniform_ladders(inst)
+        assert _exact(solution_to_json(solve_greedy(inst))) == expected, (n, levels, seed, uniform)
