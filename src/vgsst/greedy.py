@@ -17,6 +17,14 @@ live on the forest across rounds: the first scan fills them by Dijkstra,
 and each merge, which only ever lowers weights, repairs them in place.
 Only the winner's paths are rebuilt by a fresh Dijkstra, which also
 checks the rows it reads.
+
+Each round's scan reads the rows as columns, one per center, and sorts
+the roots by distance once per center for every grade. The best subset
+of each size is a prefix of that order, and each prefix walk stops at
+the first strict rise of its ratio: adding a distance x to a prefix of
+k trees with numerator N lowers or keeps the ratio iff x*k <= N, and
+once the ratio rises it stays below the next, larger x, so it keeps
+rising.
 """
 
 from __future__ import annotations
@@ -149,35 +157,31 @@ def graded_shortest_paths(
         raise InputError(f"source {source} out of range")
     if not 1 <= grade <= forest.instance.grades:
         raise InputError(f"grade {grade} out of range")
-    w = [forest.w[v][grade - 1] for v in range(n)]
+    w = [ladder[grade - 1] for ladder in forest.w]
     adjacency = forest.instance.adjacency
     INF = float("inf")
     dist: list = [INF] * n  # path weight excluding source, including target
     preds = [-1] * n
     dist[source] = 0
     heap: list[tuple[int, int]] = [(0, source)]
-    done = [False] * n
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
+        d, u = pop(heap)
+        if d > dist[u]:
             continue
-        done[u] = True
         for v in adjacency[u]:
-            if done[v]:
-                continue
+            # A settled v has dist[v] <= d, so it is never lowered here.
             cand = d + w[v]
             if cand < dist[v]:
                 dist[v] = cand
                 preds[v] = u
-                heapq.heappush(heap, (cand, v))
-    interior = tuple(
-        0 if v == source else (dist[v] - w[v] if dist[v] != INF else -1)
-        for v in range(n)
-    )
-    if any(d == -1 for d in interior):
+                push(heap, (cand, v))
+    if INF in dist:
         raise InternalInvariantError("graph must be connected")
+    interior = [d - x for d, x in zip(dist, w)]
+    interior[source] = 0
     return GradedDistanceRow(
-        source=source, grade=grade, interior_micros=interior, preds=tuple(preds)
+        source=source, grade=grade, interior_micros=tuple(interior), preds=tuple(preds)
     )
 
 
@@ -204,55 +208,6 @@ def _repair_row(row: list[int], source: int, w: list[int], adjacency, changed) -
                 heapq.heappush(heap, (d + w[x], x))
 
 
-def _candidates_for(forest: GrtForest, center: int, grade: int, roots: list[int]):
-    """Yield the scores of the ratio-minimal merges for one (center, grade) pair.
-
-    Each score is ``(numerator micros, merged count, root, eligible, m)``:
-    the merge joins ``root`` to the roots of ``eligible[:m]`` other than
-    ``root``, at ratio numerator / (merged count * COST_SCALE).
-
-    ``roots`` is the sorted list of tree roots, and distances are read from
-    the integer lists in ``forest.rows``. Trees whose root demands at most
-    ``grade`` are sorted by their distance to the center under their own
-    grade into ``eligible`` (pairs of native distance and root id); the
-    best subset of each size is a prefix of that order. Two root choices
-    exist: the nearest tree with a strictly higher demand (connected at
-    ``grade``), or promoting the smallest-id tree demanding exactly
-    ``grade`` out of the prefix itself. Prefixes whose top demand is lower
-    are scored by the scan at that lower grade instead.
-    """
-    required = forest.instance.required
-    rows = forest.rows
-    eligible = []
-    outside = []  # roots with demand above `grade`
-    for root in roots:
-        r = required[root]
-        if r <= grade:
-            eligible.append((rows[(root, r)][center], root))
-        else:
-            outside.append(root)
-    eligible.sort()
-    w_center = forest.w[center][grade - 1]
-
-    if outside and eligible:
-        root_dist, best_root = min(
-            (rows[(r, grade)][center], r) for r in outside
-        )
-        numerator = root_dist + w_center
-        for m, (native, _) in enumerate(eligible, start=1):
-            numerator += native
-            yield numerator, m + 1, best_root, eligible, m
-
-    numerator = w_center
-    promoted = None
-    for m, (native, root) in enumerate(eligible, start=1):
-        numerator += native
-        if required[root] == grade and (promoted is None or root < promoted):
-            promoted = root
-        if m >= 2 and promoted is not None:
-            yield numerator, m, promoted, eligible, m
-
-
 def _winner_path(forest: GrtForest, source: int, grade: int, center: int):
     """Path from ``source`` to ``center`` by a fresh Dijkstra, whose
     distances must equal the cached row's."""
@@ -264,35 +219,98 @@ def _winner_path(forest: GrtForest, source: int, grade: int, center: int):
     return fresh.path_to(center)
 
 
-def _best(forest: GrtForest, pairs) -> MergeCandidate | None:
-    """The ratio-minimal merge over the given (center, grade) pairs.
+def _best(forest: GrtForest, centers, grades) -> MergeCandidate | None:
+    """The ratio-minimal merge over every (center, grade) pair given.
 
-    Fills any missing distance row first. Ratios are compared by
-    cross-multiplying integers; ties go to the lower grade, then center,
-    then root, then the larger subset. Only the winner gets its paths
-    reconstructed.
+    Fills any missing distance row first, then reads the rows as columns:
+    per center, each root's native distance (under its own demand), and
+    per grade, the distances of the roots demanding more. Roots are sorted
+    by native distance once per center; at a grade the eligible roots
+    (demand at most the grade) keep that order, and the best subset of
+    each size is a prefix of it. Two root choices exist: the nearest root
+    demanding more (connected at the grade), or promoting the smallest-id
+    root demanding exactly the grade out of the prefix itself.
+
+    Each prefix walk stops early. With ascending natives x, the ratio
+    N/k of a prefix moves to (N + x)/(k + 1), which is not higher iff
+    x*k <= N; once it rises it is a mean of the last ratio and x, so below
+    the next x, and keeps rising. So the walk extends while x*k <= N and
+    stops at the first strict rise, which leaves one candidate per root
+    choice. Taking ties keeps the larger subset, which wins them; for the
+    promoted choice the test starts once a promoted root exists and the
+    prefix holds two trees, and the promoted id can only fall as the
+    prefix grows, so a later tie wins there too.
+
+    Ratios are compared by cross-multiplying integers; ties go to the
+    lower grade, then center, then root, then the larger subset. Only the
+    winner gets its paths reconstructed.
     """
     required = forest.instance.required
+    rows = forest.rows
     roots = forest.roots()
     for root in roots:
         for g in range(1, required[root] + 1):
-            if (root, g) not in forest.rows:
-                row = graded_shortest_paths(forest, root, g).interior_micros
-                forest.rows[(root, g)] = list(row)
+            if (root, g) not in rows:
+                rows[(root, g)] = list(graded_shortest_paths(forest, root, g).interior_micros)
+    req = [required[r] for r in roots]
+    native = list(zip(*[rows[(r, q)] for r, q in zip(roots, req)]))
+    grades = [g for g in grades if g >= min(req)]  # no eligible root below
+    outside = {}  # grade -> (roots demanding more, their columns)
+    for g in grades:
+        ids = [r for r, q in zip(roots, req) if q > g]
+        if ids:
+            outside[g] = (ids, list(zip(*[rows[(r, g)] for r in ids])))
+    demanded = set(req)
+    w = forest.w
     best = None
-    for center, grade in pairs:
-        for numerator, merged, root, eligible, m in _candidates_for(
-            forest, center, grade, roots
-        ):
-            if best is not None:
-                lhs, rhs = numerator * best[1], best[0] * merged
-                if lhs > rhs or (lhs == rhs and (grade, center, root, -merged) >= best[2:6]):
-                    continue
-            best = (numerator, merged, grade, center, root, -merged, eligible, m)
+    for center in centers:
+        col = native[center]
+        order = sorted(range(len(roots)), key=col.__getitem__)
+        w_center = w[center]
+        for grade in grades:
+            found = []
+            if grade in outside:
+                ids, columns = outside[grade]
+                column = columns[center]
+                root_dist = min(column)
+                numerator = root_dist + w_center[grade - 1]
+                merged = 1
+                for i in order:
+                    if req[i] <= grade:
+                        x = col[i]
+                        if merged > 1 and x * merged > numerator:
+                            break
+                        numerator += x
+                        merged += 1
+                found.append((numerator, merged, ids[column.index(root_dist)], merged - 1))
+            if grade in demanded:
+                numerator = w_center[grade - 1]
+                m = 0
+                promoted = None  # index into roots, so the smallest id
+                for i in order:
+                    q = req[i]
+                    if q <= grade:
+                        x = col[i]
+                        if promoted is not None and m > 1 and x * m > numerator:
+                            break
+                        numerator += x
+                        m += 1
+                        if q == grade and (promoted is None or i < promoted):
+                            promoted = i
+                if m > 1:  # the walk passed a root demanding `grade`
+                    found.append((numerator, m, roots[promoted], m))
+            for numerator, merged, root, m in found:
+                if best is not None:
+                    lhs, rhs = numerator * best[1], best[0] * merged
+                    if lhs > rhs or (lhs == rhs and (grade, center, root, -merged) >= best[2:6]):
+                        continue
+                best = (numerator, merged, grade, center, root, -merged, m)
     if best is None:
         return None
-    numerator, merged, grade, center, root, _, eligible, m = best
-    subset = sorted(r for _, r in eligible[:m] if r != root)
+    numerator, merged, grade, center, root, _, m = best
+    col = native[center]
+    prefix = [i for i in sorted(range(len(roots)), key=col.__getitem__) if req[i] <= grade][:m]
+    subset = sorted(roots[i] for i in prefix if roots[i] != root)
     return MergeCandidate(
         root=root,
         center=center,
@@ -319,7 +337,7 @@ def best_candidate_for(
         raise InputError(f"center {center} out of range")
     if not 1 <= grade <= forest.instance.grades:
         raise InputError(f"grade {grade} out of range")
-    return _best(forest, [(center, grade)])
+    return _best(forest, [center], [grade])
 
 
 def select_global_candidate(forest: GrtForest) -> MergeCandidate:
@@ -327,12 +345,7 @@ def select_global_candidate(forest: GrtForest) -> MergeCandidate:
     if len(forest) < 2:
         raise InputError("need at least two trees to merge")
     instance = forest.instance
-    pairs = (
-        (center, grade)
-        for center in range(instance.num_vertices)
-        for grade in range(1, instance.grades + 1)
-    )
-    best = _best(forest, pairs)
+    best = _best(forest, range(instance.num_vertices), range(1, instance.grades + 1))
     if best is None:
         raise InternalInvariantError("no legal merge found with two or more trees")
     return best

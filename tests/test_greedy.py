@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from vgsst import (
+    COST_SCALE,
     Cost,
     InputError,
     Instance,
@@ -516,3 +517,96 @@ def test_greedy_matches_pinned_records():
         if uniform:
             inst = _uniform_ladders(inst)
         assert _exact(solution_to_json(solve_greedy(inst))) == expected, (n, levels, seed, uniform)
+
+
+# ---------------------------------------------------------------------------
+# The early-stopped scan against a scan of every prefix
+
+
+def _every_prefix_best(forest, center, grade, rows):
+    """Reference scan for one (center, grade) pair: score every prefix.
+
+    Eligible roots (demand at most ``grade``) are sorted by (native
+    distance, id). Every prefix is scored twice: joined to the nearest
+    root demanding more, and with its smallest-id root of demand exactly
+    ``grade`` promoted. Returns (gamma, root, merged count, subset roots)
+    of the best under (ratio, root, larger subset), or None.
+    """
+    required = forest.instance.required
+    roots = sorted(forest.trees)
+    eligible = sorted(
+        (rows[(r, required[r])].interior_micros[center], r) for r in roots if required[r] <= grade
+    )
+    outside = [r for r in roots if required[r] > grade]
+    w_center = forest.w[center][grade - 1]
+    scored = []
+    if outside and eligible:
+        root_dist, root = min((rows[(r, grade)].interior_micros[center], r) for r in outside)
+        numerator = root_dist + w_center
+        for m, (native, _) in enumerate(eligible, start=1):
+            numerator += native
+            scored.append((Fraction(numerator, (m + 1) * COST_SCALE), root, -(m + 1), m))
+    numerator, promoted = w_center, None
+    for m, (native, r) in enumerate(eligible, start=1):
+        numerator += native
+        if required[r] == grade and (promoted is None or r < promoted):
+            promoted = r
+        if m >= 2 and promoted is not None:
+            scored.append((Fraction(numerator, m * COST_SCALE), promoted, -m, m))
+    if not scored:
+        return None
+    gamma, root, neg_merged, m = min(scored)
+    return gamma, root, -neg_merged, tuple(sorted(r for _, r in eligible[:m] if r != root))
+
+
+def test_scan_matches_every_prefix_reference():
+    corpus = mixed_corpus(30, seed0=5400)
+    corpus += [_uniform_ladders(inst) for inst in mixed_corpus(30, seed0=5500)]
+    corpus += [
+        _uniform_ladders(
+            random_instance(n=9, levels=3, seed=5600 + k, edge_prob=0.4, num_terminals=6)
+        )
+        for k in range(6)
+    ]
+    corpus += [
+        _uniform_ladders(random_instance(n, levels, seed=1, edge_prob=6 / n, terminal_fraction=0.3))
+        for n in (30, 60)
+        for levels in (2, 3)
+    ]
+    for inst in corpus:
+        forest = init_forest(inst)
+        while len(forest) > 1:
+            required = inst.required
+            rows = {
+                (r, g): graded_shortest_paths(forest, r, g)
+                for r in forest.trees
+                for g in range(1, required[r] + 1)
+            }
+            overall = None
+            for center in range(inst.num_vertices):
+                for grade in range(1, inst.grades + 1):
+                    cand = best_candidate_for(forest, center, grade)
+                    expected = _every_prefix_best(forest, center, grade, rows)
+                    if expected is None:
+                        assert cand is None, (center, grade)
+                        continue
+                    gamma, root, merged, subset = expected
+                    assert (cand.gamma, cand.root, cand.merged_count, cand.subset_roots) == (
+                        gamma, root, merged, subset
+                    ), (center, grade)
+                    assert (cand.center, cand.grade, cand.forest_version) == (
+                        center, grade, forest.version
+                    )
+                    assert cand.root_path == rows[(root, min(grade, required[root]))].path_to(center)
+                    assert cand.leg_paths == tuple(
+                        tuple(reversed(rows[(r, required[r])].path_to(center))) for r in subset
+                    )
+                    key = (gamma, grade, center, root, -merged)
+                    overall = key if overall is None else min(overall, key)
+            winner = select_global_candidate(forest)
+            assert (
+                winner.gamma, winner.grade, winner.center, winner.root, -winner.merged_count
+            ) == overall
+            if len(inst.terminals) <= 6:
+                assert winner.gamma == _exhaustive_best_gamma(forest)
+            apply_merge(forest, winner)
