@@ -45,6 +45,7 @@ from .oracle import _assignment_ranges, build_ilp, export_lp, brute_force_optimu
 from .reductions import check_grt
 
 _ORACLE_VERTEX_LIMIT = 10
+_ALGORITHMS = ("greedy", "topdown", "bottomup", "exact")
 
 
 def _ratio_text(cost: Cost, optimum: Cost) -> str:
@@ -292,11 +293,19 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     seed = _seed(args)
     algorithms = args.algorithms.split(",")
+    for algorithm in algorithms:
+        if algorithm not in _ALGORITHMS:
+            raise InputError(f"unknown algorithm {algorithm!r}")
+    instances = [
+        random_instance(n=args.n, levels=args.levels, seed=seed + k, edge_prob=args.edge_prob)
+        for k in range(args.count)
+    ]
+    # Refuse instances beyond the oracle's caps before printing anything.
+    if "exact" in algorithms:
+        for instance in instances:
+            _assignment_ranges(instance, _ORACLE_VERTEX_LIMIT)
     print("instance " + " ".join(algorithms))
-    for k in range(args.count):
-        instance = random_instance(
-            n=args.n, levels=args.levels, seed=seed + k, edge_prob=args.edge_prob
-        )
+    for k, instance in enumerate(instances):
         row = [f"seed={seed + k}"]
         for algorithm in algorithms:
             report = _solve_instance(instance, algorithm)
@@ -323,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument(
         "--algorithm",
-        choices=["greedy", "topdown", "bottomup", "exact"],
+        choices=_ALGORITHMS,
         default="greedy",
     )
     p_solve.add_argument("--output", "-o", help="solution path (single input only)")

@@ -56,7 +56,10 @@ def fig2_instance(levels: int, eps: str | Decimal = "0.1") -> Instance:
     """
     if levels < 1:
         raise InputError("the family needs at least one grade")
-    eps_cost = Cost.parse(eps)
+    try:
+        eps_cost = Cost.parse(eps)
+    except ValueError as exc:  # negative or off the 10^-6 grid
+        raise InputError(f"bad eps {eps!r}: {exc}") from None
     hub_cost = Cost.from_micros(COST_SCALE + eps_cost.micros)
     unit = Cost.parse(1)
 

@@ -307,6 +307,21 @@ def test_bench_deterministic(capsys):
     assert out1.splitlines()[0] == "instance greedy topdown bottomup"
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["--algorithms", "greedy,foo"], 2),
+        (["--algorithms", "greedy,exact", "--n", "30"], 4),
+    ],
+    ids=["unknown-algorithm", "beyond-oracle-cap"],
+)
+def test_bench_refuses_before_printing(capsys, argv, exit_code):
+    code, out, err = run(capsys, "bench", "--count", "2", *argv)
+    assert code == exit_code
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_export_dot_matches_golden(capsys, fig3_file, tmp_path):
     golden = os.path.join(os.path.dirname(__file__), "golden", "fig3.dot")
     sol = str(tmp_path / "sol.json")
@@ -342,6 +357,7 @@ MALFORMED = {
     "gen-seed-env": (None, None, ["gen", "--random"], {"VGSST_SEED": "abc"}),
     "bench-seed-env": (None, None, ["bench", "--count", "1"], {"VGSST_SEED": "abc"}),
     "solve-zero-jobs": (None, None, ["solve", "--jobs", "0"], {}),
+    "gen-negative-eps": (None, None, ["gen", "--builtin", "fig2", "--eps", "-2"], {}),
 }
 
 
