@@ -304,12 +304,11 @@ def _best(forest: GrtForest, centers, grades) -> MergeCandidate | None:
                     lhs, rhs = numerator * best[1], best[0] * merged
                     if lhs > rhs or (lhs == rhs and (grade, center, root, -merged) >= best[2:6]):
                         continue
-                best = (numerator, merged, grade, center, root, -merged, m)
+                best = (numerator, merged, grade, center, root, -merged, order, m)
     if best is None:
         return None
-    numerator, merged, grade, center, root, _, m = best
-    col = native[center]
-    prefix = [i for i in sorted(range(len(roots)), key=col.__getitem__) if req[i] <= grade][:m]
+    numerator, merged, grade, center, root, _, order, m = best
+    prefix = [i for i in order if req[i] <= grade][:m]
     subset = sorted(roots[i] for i in prefix if roots[i] != root)
     return MergeCandidate(
         root=root,
