@@ -1,5 +1,8 @@
 """Layered-digraph reduction, arborescence oracle, tree checkers, spiders."""
 
+import json
+import os
+
 import pytest
 
 from vgsst import (
@@ -307,3 +310,38 @@ def test_decomposition_properties_on_random_trees():
         _assert_valid_decomposition(host, result, marked)
         checked += 1
     assert checked >= 500
+
+
+# ---------------------------------------------------------------------------
+# Pinned decompositions
+
+GOLDEN_SPIDERS = os.path.join(os.path.dirname(__file__), "golden", "spider_decompositions.json")
+
+
+def _decomposition_json(result):
+    return {
+        "spiders": [
+            {
+                "root": s.root,
+                "center": s.center,
+                "root_path": list(s.root_path),
+                "legs": [list(leg) for leg in s.legs],
+                "members": sorted(s.members),
+                "feet": list(s.feet),
+            }
+            for s in result.spiders
+        ],
+        "grades": list(result.grades),
+    }
+
+
+def test_decomposition_matches_pinned_spiders():
+    # Every Spider field and the returned grades for optimized_grt seeds
+    # 0-99, compared exactly: spider order, legs and root paths included.
+    with open(GOLDEN_SPIDERS, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert list(golden) == [f"seed={seed}" for seed in range(100)]
+    for seed, expected in enumerate(golden.values()):
+        host, edges, y, root, marked = optimized_grt(seed)
+        result = spider_decompose(host, edges, y, root, marked)
+        assert _decomposition_json(result) == expected, seed
