@@ -178,6 +178,14 @@ def _build_rooted(tree_edges: Sequence[Edge], root: int):
     return parent, children, order
 
 
+def _climb(parent: Mapping[int, int], v: int, top: int) -> tuple[int, ...]:
+    """Vertices from ``v`` up the parent links to its ancestor ``top``."""
+    path = [v]
+    while path[-1] != top:
+        path.append(parent[path[-1]])
+    return tuple(path)
+
+
 def check_grt(
     instance: Instance,
     tree_edges: Sequence[Edge],
@@ -193,10 +201,7 @@ def check_grt(
     for v in order:
         for u in children[v]:
             if y[u] > y[v]:
-                path = [u]
-                while path[-1] != root:
-                    path.append(parent[path[-1]])
-                return False, tuple(reversed(path))
+                return False, _climb(parent, u, root)[::-1]
     return True, None
 
 
@@ -332,12 +337,10 @@ def spider_decompose(
         raise InputError("decomposition needs at least two marked vertices")
     if root not in marked_set:
         raise InputError("the root must belong to the marked set")
-    opt_edges, opt_y = m_optimize(instance, tree_edges, y, root, marked_set)
-    if set(opt_edges) != set(tuple(sorted(e)) for e in tree_edges) or tuple(opt_y) != tuple(y):
+    edges, work_y = m_optimize(instance, tree_edges, y, root, marked_set)
+    if set(edges) != set(tuple(sorted(e)) for e in tree_edges) or tuple(work_y) != tuple(y):
         raise InputError("input tree is not demoted against the marked set")
 
-    parent, children, order = _build_rooted(tree_edges, root)
-    work_y = list(y)
     m_cur = set(marked_set)
     spiders: list[Spider] = []
 
@@ -360,6 +363,7 @@ def spider_decompose(
         )
 
     while True:
+        parent, children, order = _build_rooted(edges, root)
         depth = {root: 0}
         for v in order:
             for u in children[v]:
@@ -380,10 +384,7 @@ def spider_decompose(
         subtree = _collect(children, deepest)
         rest = m_cur - set(subtree)
         if len(rest) == 1:
-            climb = [deepest]
-            while climb[-1] != root:
-                climb.append(parent[climb[-1]])
-            emit(deepest, root, subtree, tuple(climb))
+            emit(deepest, root, subtree, _climb(parent, deepest, root))
             break
 
         if deepest in m_cur:
@@ -398,38 +399,14 @@ def spider_decompose(
                     "demoted tree lost its equal-grade marked descendant"
                 )
             spider_root = equals[0]
-            climb = [spider_root]
-            while climb[-1] != deepest:
-                climb.append(parent[climb[-1]])
-            root_path = tuple(reversed(climb))
+            root_path = _climb(parent, spider_root, deepest)[::-1]
         emit(deepest, spider_root, subtree, root_path)
 
         # Detach the spider, then prune and re-demote the remainder so the
         # equal-grade guarantee keeps holding for later rounds.
-        children[parent[deepest]].remove(deepest)
-        for v in subtree:
-            parent.pop(v, None)
-            children.pop(v, None)
+        cut = set(subtree)
+        remaining = [(u, v) for u, v in edges if u not in cut and v not in cut]
         m_cur = rest
-        order = [root]
-        for v in order:
-            order.extend(children[v])
-        demand = _subtree_demand(order, children, work_y, m_cur)
-        for v in order:
-            if demand[v] < 0:
-                work_y[v] = 0
-            elif v not in m_cur:
-                work_y[v] = demand[v]
-        children = {
-            v: [u for u in children[v] if demand[u] >= 0]
-            for v in order
-            if demand[v] >= 0
-        }
-        parent = {root: -1}
-        order = [root]
-        for v in order:
-            for u in children[v]:
-                parent[u] = v
-                order.append(u)
+        edges, work_y = m_optimize(instance, remaining, work_y, root, m_cur)
 
     return RootedSpiderDecomposition(spiders=tuple(spiders), grades=tuple(work_y))
