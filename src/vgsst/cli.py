@@ -26,6 +26,7 @@ from .instance import (
     SizeCapError,
     SolutionReport,
     _edge_masks,
+    _check_assignment,
     _reach,
     assert_valid,
     canon_edge,
@@ -94,10 +95,8 @@ def _default_solution_path(input_path: str) -> str:
 
 
 def cmd_solve(args) -> int:
-    inputs = list(args.input) + list(args.input_flag)
-    if not inputs:
+    if not args.input:
         raise InputError("no instance files given")
-    args.input = inputs
     tasks = []
     for path in args.input:
         out = args.output if args.output and len(args.input) == 1 else _default_solution_path(path)
@@ -200,6 +199,7 @@ def cmd_export(args) -> int:
         assignment = None
         if args.solution:
             assignment = read_solution(args.solution).assignment
+            _check_assignment(instance, assignment)
         text = instance_to_dot(instance, assignment)
     if args.output:
         write_atomic(args.output, text)
@@ -248,45 +248,40 @@ def cmd_verify(args) -> int:
     report = read_solution(args.solution)
     failures = []
 
-    if len(report.assignment) != instance.num_vertices:
-        failures.append("assignment length does not match the instance")
-    else:
-        recomputed = solution_cost(instance, report.assignment)
-        if recomputed != report.total_cost:
-            failures.append(
-                f"cost mismatch: file says {report.total_cost}, assignment costs {recomputed}"
-            )
-        ok, witness = check_feasible(instance, report.assignment)
-        if not ok:
-            if witness.kind == "requirement":
-                failures.append(f"terminal {witness.vertex} below its demand")
-            else:
-                failures.append(
-                    f"grade-{witness.grade} witness pair {witness.pair} disconnected"
-                )
-        failures.extend(_tree_failures(instance, report))
-        if report.iterations and not failures:
-            root = report.iterations[-1].root
-            grt_ok, path = check_grt(
-                instance, report.tree_edges, report.assignment, root
-            )
-            if not grt_ok:
-                failures.append(f"grades increase away from root {root} along {path}")
-
-    ratio_note = ""
-    if not failures:
-        ranges_ok = instance.num_vertices <= _ORACLE_VERTEX_LIMIT
-        if ranges_ok:
-            optimum = brute_force_optimum(instance, limit=_ORACLE_VERTEX_LIMIT)
-            ratio_note = f", ratio {_ratio_text(report.total_cost, optimum.total_cost)}"
+    recomputed = solution_cost(instance, report.assignment)
+    if recomputed != report.total_cost:
+        failures.append(
+            f"cost mismatch: file says {report.total_cost}, assignment costs {recomputed}"
+        )
+    ok, witness = check_feasible(instance, report.assignment)
+    if not ok:
+        if witness.kind == "requirement":
+            failures.append(f"terminal {witness.vertex} below its demand")
         else:
-            ratio_note = ", ratio skipped (beyond oracle caps)"
+            failures.append(
+                f"grade-{witness.grade} witness pair {witness.pair} disconnected"
+            )
+    failures.extend(_tree_failures(instance, report))
+    if report.iterations and not failures:
+        root = report.iterations[-1].root
+        grt_ok, path = check_grt(
+            instance, report.tree_edges, report.assignment, root
+        )
+        if not grt_ok:
+            failures.append(f"grades increase away from root {root} along {path}")
 
     if failures:
         for f in failures:
             print(f"FAIL: {f}")
         return 1
-    print(f"PASS: cost {report.total_cost}{ratio_note}")
+    try:
+        _assignment_ranges(instance, _ORACLE_VERTEX_LIMIT)
+    except SizeCapError:
+        ratio_note = "skipped (beyond oracle caps)"
+    else:
+        optimum = brute_force_optimum(instance, limit=_ORACLE_VERTEX_LIMIT)
+        ratio_note = _ratio_text(report.total_cost, optimum.total_cost)
+    print(f"PASS: cost {report.total_cost}, ratio {ratio_note}")
     return 0
 
 
@@ -323,13 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve instance files")
     p_solve.add_argument("input", nargs="*", help="instance JSON file(s)")
-    p_solve.add_argument(
-        "--input",
-        dest="input_flag",
-        action="append",
-        default=[],
-        help="instance file (may repeat; same as positional)",
-    )
     p_solve.add_argument(
         "--algorithm",
         choices=_ALGORITHMS,

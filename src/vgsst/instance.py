@@ -399,6 +399,17 @@ class FeasibilityWitness:
     pair: Edge | None = None
 
 
+def _check_assignment(instance: Instance, y: GradeAssignment) -> None:
+    """Raise InputError unless ``y`` has one grade in 0..grades per vertex."""
+    if len(y) != instance.num_vertices:
+        raise InputError(
+            f"assignment has {len(y)} entries for {instance.num_vertices} vertices"
+        )
+    for v in range(instance.num_vertices):
+        if not 0 <= y[v] <= instance.grades:
+            raise InputError(f"grade {y[v]} at vertex {v} out of range")
+
+
 def check_feasible(
     instance: Instance, y: GradeAssignment
 ) -> tuple[bool, FeasibilityWitness | None]:
@@ -408,14 +419,7 @@ def check_feasible(
     i, all terminals demanding i or more sit in one connected component of
     the subgraph induced by ``{v : y(v) >= i}``.
     """
-    if len(y) != instance.num_vertices:
-        raise InputError(
-            f"assignment has {len(y)} entries for {instance.num_vertices} vertices"
-        )
-    for v in range(instance.num_vertices):
-        if not 0 <= y[v] <= instance.grades:
-            raise InputError(f"grade {y[v]} at vertex {v} out of range")
-
+    _check_assignment(instance, y)
     for v in instance.terminals:
         if y[v] < instance.required[v]:
             return False, FeasibilityWitness(kind="requirement", vertex=v)
@@ -470,8 +474,7 @@ def feasibility_tester(instance: Instance):
 
 def solution_cost(instance: Instance, y: GradeAssignment) -> Cost:
     """Total cost of the installed facilities: sum of c_{y(v)}(v)."""
-    if len(y) != instance.num_vertices:
-        raise InputError("assignment length mismatch")
+    _check_assignment(instance, y)
     total = Cost.zero()
     for v, grade in enumerate(y):
         if grade >= 1:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import vgsst.cli
-from vgsst import Cost, fig3_instance, instance_to_json, random_instance, read_solution
+from vgsst import Cost, Instance, fig3_instance, instance_to_json, random_instance, read_solution
 from vgsst.cli import main
 
 
@@ -232,6 +232,28 @@ def test_verify_rejects_forged_tree(capsys, fig3_file, tmp_path):
     assert out.startswith("FAIL:") and "PASS" not in out
 
 
+def test_verify_skips_ratio_beyond_candidate_cap(capsys, tmp_path):
+    # Ten vertices, but 8^8 candidate assignments: over the oracle's
+    # product cap, so verify certifies the file and skips the ratio.
+    n, levels = 10, 7
+    path = tmp_path / "path.json"
+    path.write_text(
+        instance_to_json(
+            Instance.build(
+                n,
+                [(v, v + 1) for v in range(n - 1)],
+                levels,
+                {0: levels, n - 1: levels},
+                [[0] * levels] + [list(range(1, levels + 1))] * (n - 2) + [[0] * levels],
+            )
+        )
+    )
+    sol = str(tmp_path / "path.sol.json")
+    assert run(capsys, "solve", str(path), "-o", sol)[0] == 0
+    code, out, err = run(capsys, "verify", str(path), sol)
+    assert (code, out, err) == (0, "PASS: cost 56, ratio skipped (beyond oracle caps)\n", "")
+
+
 def test_verify_zero_cost_ratio(capsys, tmp_path):
     inst = tmp_path / "free.json"
     inst.write_text(
@@ -340,7 +362,8 @@ def _set(path, value):
     return edit
 
 
-# (file to corrupt, edit, extra argv, environment)
+# (file to corrupt, edit, extra argv, environment). A corrupted solution is
+# checked by ``verify`` unless argv names another subcommand and its flags.
 MALFORMED = {
     "instance-edges-not-a-list": ("instance", _set(["edges"], 5), [], {}),
     "instance-terminals-not-a-list": ("instance", _set(["terminals"], {"vertex": 0}), [], {}),
@@ -354,6 +377,13 @@ MALFORMED = {
     "solution-infinite-cost": ("solution", _set(["cost"], "Infinity"), [], {}),
     "solution-negative-cost": ("solution", _set(["cost"], -1), [], {}),
     "solution-zero-denominator": ("solution", _set(["iterations", 0, "gamma"], "1/0"), [], {}),
+    "solution-grade-above-top": (
+        "solution", _set(["assignment", 0], fig3_instance().grades + 1), [], {}
+    ),
+    "solution-short-assignment": ("solution", _set(["assignment"], [0]), [], {}),
+    "export-short-assignment": (
+        "solution", _set(["assignment"], [0]), ["export", "--dot", "--solution"], {}
+    ),
     "gen-seed-env": (None, None, ["gen", "--random"], {"VGSST_SEED": "abc"}),
     "bench-seed-env": (None, None, ["bench", "--count", "1"], {"VGSST_SEED": "abc"}),
     "solve-zero-jobs": (None, None, ["solve", "--jobs", "0"], {}),
@@ -378,7 +408,8 @@ def test_malformed_input_exits_2(capsys, fig3_file, tmp_path, monkeypatch, case)
         doc = json.loads(sol_path.read_text())
         edit(doc)
         sol_path.write_text(json.dumps(doc))
-        argv = ["verify", fig3_file, str(sol_path)]
+        argv = argv or ["verify"]
+        argv = argv[:1] + [fig3_file] + argv[1:] + [str(sol_path)]
     elif argv[0] == "solve":
         argv = argv + [fig3_file]
     code, _, err = run(capsys, *argv)

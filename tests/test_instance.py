@@ -139,6 +139,14 @@ def test_everything_at_top_grade(fig3):
     assert solution_cost(fig3, (2,) * 8) == expected
 
 
+@pytest.mark.parametrize("y", [(0,) * 7, (3,) + (0,) * 7, (-1,) + (2,) * 7])
+def test_cost_rejects_bad_shapes(fig3, y):
+    # The same length and range checks as check_feasible: a negative grade
+    # is not free and a grade above the top is not an IndexError.
+    with pytest.raises(InputError):
+        solution_cost(fig3, y)
+
+
 # ---------------------------------------------------------------------------
 # extract_tree
 
