@@ -25,8 +25,8 @@ from .instance import (
     InternalInvariantError,
     SizeCapError,
     SolutionReport,
-    _edge_masks,
     _check_assignment,
+    _edge_masks,
     _reach,
     assert_valid,
     canon_edge,
@@ -277,11 +277,11 @@ def cmd_verify(args) -> int:
     try:
         _assignment_ranges(instance, _ORACLE_VERTEX_LIMIT)
     except SizeCapError:
-        ratio_note = "skipped (beyond oracle caps)"
+        ratio = "skipped (beyond oracle caps)"
     else:
         optimum = brute_force_optimum(instance, limit=_ORACLE_VERTEX_LIMIT)
-        ratio_note = _ratio_text(report.total_cost, optimum.total_cost)
-    print(f"PASS: cost {report.total_cost}, ratio {ratio_note}")
+        ratio = _ratio_text(report.total_cost, optimum.total_cost)
+    print(f"PASS: cost {report.total_cost}, ratio {ratio}")
     return 0
 
 
