@@ -1,6 +1,7 @@
 """Exhaustive oracle and the cut-based 0/1 model."""
 
 import hashlib
+import json
 import os
 from itertools import product
 
@@ -16,6 +17,7 @@ from vgsst import (
     export_lp,
     fig2_instance,
     model_point_feasible,
+    random_instance,
     solution_cost,
     solve_greedy,
     solve_ilp_by_enumeration,
@@ -216,3 +218,28 @@ def test_heuristic_outputs_are_model_feasible():
         ):
             assert report.total_cost >= oracle.total_cost
             assert model_point_feasible(model, report.assignment)
+
+
+GOLDEN_MODELS = os.path.join(os.path.dirname(__file__), "golden", "ilp_models.json")
+#: The benchmark's oracle rungs (n, grades), each at generation seeds 1-2.
+MODEL_RUNGS = ((7, 3), (8, 3), (9, 2), (10, 2), (11, 2), (12, 1), (12, 2))
+
+
+def test_models_match_pinned_rows_lp_and_optima():
+    # Each entry pins, for random_instance(n, L, seed, edge_prob=0.4,
+    # terminal_fraction=0.4): the cut row count, the sha256 of the LP
+    # text, and the enumerated optimum's assignment and objective.
+    with open(GOLDEN_MODELS, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    cases = [(n, levels, seed) for n, levels in MODEL_RUNGS for seed in (1, 2)]
+    assert list(golden) == [f"n={n} levels={levels} seed={seed}" for n, levels, seed in cases]
+    for (n, levels, seed), expected in zip(cases, golden.values()):
+        inst = random_instance(n, levels, seed=seed, edge_prob=0.4, terminal_fraction=0.4)
+        model = build_ilp(inst)
+        solution = solve_ilp_by_enumeration(model)
+        assert {
+            "cut_rows": len(model.cuts),
+            "lp_sha256": hashlib.sha256(export_lp(model).encode()).hexdigest(),
+            "assignment": list(solution.assignment),
+            "objective": solution.objective.as_decimal_str(),
+        } == expected, (n, levels, seed)
