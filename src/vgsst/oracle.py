@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .costs import Cost
 from .instance import (
@@ -168,6 +168,13 @@ def build_ilp(instance: Instance, limit: int = 15) -> IlpModel:
     if n > limit:
         raise SizeCapError(f"cut enumeration limited to {limit} vertices, got {n}")
     adj_mask = _edge_masks(n, instance.edges)
+    # spread[s]: every neighbour of some vertex of s, one DP over subsets.
+    spread = [0] * (1 << n)
+    for subset in range(1, 1 << n):
+        low = subset & -subset
+        spread[subset] = spread[subset ^ low] | adj_mask[low.bit_length() - 1]
+    # One tuple per distinct boundary, shared by every row that has it.
+    shared: dict[int, tuple[int, ...]] = {}
 
     cuts: list[CutRow] = []
     for grade in range(1, instance.grades + 1):
@@ -182,16 +189,12 @@ def build_ilp(instance: Instance, limit: int = 15) -> IlpModel:
             inside = (subset & term_mask).bit_count()
             if inside == 0 or inside == count:
                 continue
-            spread = 0
-            rest = subset
-            while rest:
-                low = rest & -rest
-                spread |= adj_mask[low.bit_length() - 1]
-                rest ^= low
-            boundary = spread & ~subset
-            neighborhood = tuple(
-                v for v in range(n) if boundary >> v & 1
-            )
+            boundary = spread[subset] & ~subset
+            neighborhood = shared.get(boundary)
+            if neighborhood is None:
+                neighborhood = shared[boundary] = tuple(
+                    v for v in range(n) if boundary >> v & 1
+                )
             cuts.append(CutRow(grade=grade, subset_mask=subset, neighborhood=neighborhood))
 
     objective = tuple(
@@ -261,34 +264,61 @@ def model_point_feasible(model: IlpModel, y: Sequence[int]) -> bool:
     return True
 
 
+def _minimal_rows(rows: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The non-dominated (grade, neighbourhood mask) rows.
+
+    Row (g', M') dominates (g, M) when g' >= g and M' is a subset of M:
+    whichever v in M' carries grade >= g' also lies in M and carries
+    grade >= g, so the dominated row can never be the one that fails.
+    Rows come in descending grade, then ascending popcount, so every
+    possible dominator is seen first; a dominated dominator is itself
+    dominated by a kept row. The kept rows come out in that order.
+    """
+    kept: list[tuple[int, int]] = []
+    for grade, mask in sorted(set(rows), key=lambda r: (-r[0], r[1].bit_count(), r[1])):
+        for _, low in kept:
+            if low & mask == low:
+                break
+        else:
+            kept.append((grade, mask))
+    return kept
+
+
+def _objective_tables(model: IlpModel) -> list[list[int]]:
+    """Per vertex, the objective in micros of each grade 0..top."""
+    tables = []
+    for v in range(model.num_vertices):
+        run = [0]
+        for i in range(1, model.grades + 1):
+            run.append(run[-1] + model.objective[v][i - 1].micros)
+        tables.append(run)
+    return tables
+
+
 def solve_ilp_by_enumeration(model: IlpModel, cap: int = 24) -> IlpSolution:
     """Exact optimum of the model by scanning ladder-consistent points.
 
     The ladder rows collapse the search to one grade per vertex, scanned
     in (objective, lexicographic) order; the first point satisfying every
-    cut is optimal. Duplicate cut neighborhoods are collapsed for the
-    scan — the feasible region is unchanged.
+    cut is optimal. The scan checks only the non-dominated cut rows (see
+    ``_minimal_rows``): each dropped row is implied by a kept one, so the
+    feasible region, and with it the first feasible point, is unchanged.
     """
     if model.num_variables > cap:
         raise SizeCapError(
             f"enumeration limited to {cap} binary variables, got {model.num_variables}"
         )
-    n = model.num_vertices
-    ranges = [(0, model.grades)] * n
-    tables = []
-    for v in range(n):
-        run = [0]
-        for i in range(1, model.grades + 1):
-            run.append(run[-1] + model.objective[v][i - 1].micros)
-        tables.append(run)
+    ranges = [(0, model.grades)] * model.num_vertices
 
-    grade_masks: dict[int, set[int]] = {}
+    bits = [1 << v for v in range(model.num_vertices)]
+    masks: dict[tuple[int, ...], int] = {}
+    rows = set()
     for cut in model.cuts:
-        mask = 0
-        for v in cut.neighborhood:
-            mask |= 1 << v
-        grade_masks.setdefault(cut.grade, set()).add(mask)
-    checks = sorted((g, m) for g, masks in grade_masks.items() for m in masks)
+        mask = masks.get(cut.neighborhood)
+        if mask is None:
+            mask = masks[cut.neighborhood] = sum(map(bits.__getitem__, cut.neighborhood))
+        rows.add((cut.grade, mask))
+    checks = _minimal_rows(rows)
 
     def feasible(y: Sequence[int]) -> bool:
         for grade, mask in checks:
@@ -304,7 +334,7 @@ def solve_ilp_by_enumeration(model: IlpModel, cap: int = 24) -> IlpSolution:
                 return False
         return True
 
-    found = _scan_lattice(ranges, tables, feasible)
+    found = _scan_lattice(ranges, _objective_tables(model), feasible)
     if found is None:
         raise InternalInvariantError("cut model has no feasible point")
     y, objective = found

@@ -338,7 +338,8 @@ def spider_decompose(
     if root not in marked_set:
         raise InputError("the root must belong to the marked set")
     edges, work_y = m_optimize(instance, tree_edges, y, root, marked_set)
-    if set(edges) != set(tuple(sorted(e)) for e in tree_edges) or tuple(work_y) != tuple(y):
+    canonical = {tuple(sorted(e)) for e in edges}
+    if canonical != {tuple(sorted(e)) for e in tree_edges} or tuple(work_y) != tuple(y):
         raise InputError("input tree is not demoted against the marked set")
 
     m_cur = set(marked_set)

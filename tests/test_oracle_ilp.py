@@ -26,6 +26,8 @@ from vgsst import (
     greedy_as_vst,
 )
 
+from vgsst.oracle import _minimal_rows, _objective_tables, _scan_lattice
+
 from conftest import mixed_corpus
 
 
@@ -194,6 +196,44 @@ def test_feasible_assignments_are_model_points_and_back():
         ok, _ = check_feasible(inst, tuple(lifted))
         assert ok
         assert solution_cost(inst, tuple(lifted)) == solution.objective
+
+
+def _row_masks(model):
+    return {(cut.grade, sum(1 << v for v in cut.neighborhood)) for cut in model.cuts}
+
+
+def _dominates(row, other):
+    return row[0] >= other[0] and row[1] & other[1] == row[1]
+
+
+def test_minimal_rows_keep_exactly_the_non_dominated():
+    # (2, {0}) implies (1, {0, 1}) and (2, {1, 2}) implies (1, {1, 2}); a
+    # lower-grade row never implies a higher one, so (1, {2}) and
+    # (2, {1, 2}) both stay.
+    rows = [(1, 0b011), (2, 0b001), (1, 0b100), (2, 0b110), (1, 0b110), (2, 0b001)]
+    assert _minimal_rows(rows) == [(2, 0b001), (2, 0b110), (1, 0b100)]
+    for inst in mixed_corpus(36, seed0=7500, max_n=8, max_levels=3):
+        rows = _row_masks(build_ilp(inst))
+        kept = _minimal_rows(rows)
+        assert len(kept) == len(set(kept)) and set(kept) <= rows
+        for row in rows - set(kept):
+            assert any(_dominates(k, row) for k in kept), row
+        for a in kept:
+            assert not any(_dominates(a, b) for b in kept if b != a), a
+
+
+def test_filtered_scan_matches_every_row_reference():
+    # Same assignment, not only the same objective, as a scan that checks
+    # every cut row of the model.
+    for inst in mixed_corpus(36, seed0=7500, max_n=8, max_levels=3):
+        model = build_ilp(inst)
+        solution = solve_ilp_by_enumeration(model)
+        reference = _scan_lattice(
+            [(0, model.grades)] * model.num_vertices,
+            _objective_tables(model),
+            lambda y: model_point_feasible(model, y),
+        )
+        assert (solution.assignment, solution.objective.micros) == reference
 
 
 def test_objective_telescopes_to_assignment_cost(fig3):

@@ -267,6 +267,21 @@ def test_decomposition_requires_demoted_input():
         spider_decompose(host, DEMO_EDGES, DEMO_Y, 0, DEMO_M)
 
 
+def test_decomposition_ignores_edge_orientation():
+    # The demotion check must compare edges as unordered pairs: a demoted
+    # path written (larger, smaller) is the same tree.
+    host = _host(3, [(0, 1), (1, 2)], levels=1, root_demand=1)
+    forward = spider_decompose(host, [(0, 1), (1, 2)], (1, 1, 1), 0, {0, 2})
+    backward = spider_decompose(host, [(1, 0), (2, 1)], (1, 1, 1), 0, {0, 2})
+    assert forward == backward
+    for seed in range(20):
+        host, edges, y, root, marked = optimized_grt(seed)
+        flipped = [(v, u) for u, v in edges]
+        assert spider_decompose(host, flipped, y, root, marked) == spider_decompose(
+            host, edges, y, root, marked
+        ), seed
+
+
 def _assert_valid_decomposition(host, result, marked):
     spiders = result.spiders
     grades = result.grades
