@@ -5,13 +5,20 @@ Ground truth for every approximation-ratio test in the suite. Both
 enumerators share one backend, a best-first walk of the grade lattice
 that visits assignments in exact (cost, lexicographic) order and returns
 the first feasible one, so results and tie-breaks are reproducible.
+
+The cut model is built in full, for export and inspection, but its scan
+checks only the non-dominated rows. A row at grade g' >= g whose
+neighbourhood is a subset of another row's implies that row: the vertex
+of grade >= g' that satisfies it lies in the larger neighbourhood too.
+Dropping implied rows leaves the feasible region, and so the first
+feasible point of the walk, unchanged.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .costs import Cost
 from .instance import (
@@ -264,7 +271,7 @@ def model_point_feasible(model: IlpModel, y: Sequence[int]) -> bool:
     return True
 
 
-def _minimal_rows(rows: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+def _minimal_rows(masks_by_grade: Mapping[int, Iterable[int]]) -> list[tuple[int, int]]:
     """The non-dominated (grade, neighbourhood mask) rows.
 
     Row (g', M') dominates (g, M) when g' >= g and M' is a subset of M:
@@ -272,15 +279,17 @@ def _minimal_rows(rows: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     grade >= g, so the dominated row can never be the one that fails.
     Rows come in descending grade, then ascending popcount, so every
     possible dominator is seen first; a dominated dominator is itself
-    dominated by a kept row. The kept rows come out in that order.
+    dominated by a kept row. The kept rows come out in that order, ties
+    by mask.
     """
     kept: list[tuple[int, int]] = []
-    for grade, mask in sorted(set(rows), key=lambda r: (-r[0], r[1].bit_count(), r[1])):
-        for _, low in kept:
-            if low & mask == low:
-                break
-        else:
-            kept.append((grade, mask))
+    for grade in sorted(masks_by_grade, reverse=True):
+        for mask in sorted(sorted(masks_by_grade[grade]), key=int.bit_count):
+            for _, low in kept:
+                if low & mask == low:
+                    break
+            else:
+                kept.append((grade, mask))
     return kept
 
 
@@ -312,13 +321,13 @@ def solve_ilp_by_enumeration(model: IlpModel, cap: int = 24) -> IlpSolution:
 
     bits = [1 << v for v in range(model.num_vertices)]
     masks: dict[tuple[int, ...], int] = {}
-    rows = set()
+    masks_by_grade: dict[int, set[int]] = {}
     for cut in model.cuts:
         mask = masks.get(cut.neighborhood)
         if mask is None:
             mask = masks[cut.neighborhood] = sum(map(bits.__getitem__, cut.neighborhood))
-        rows.add((cut.grade, mask))
-    checks = _minimal_rows(rows)
+        masks_by_grade.setdefault(cut.grade, set()).add(mask)
+    checks = _minimal_rows(masks_by_grade)
 
     def feasible(y: Sequence[int]) -> bool:
         for grade, mask in checks:

@@ -202,6 +202,13 @@ def _row_masks(model):
     return {(cut.grade, sum(1 << v for v in cut.neighborhood)) for cut in model.cuts}
 
 
+def _by_grade(rows):
+    grouped = {}
+    for grade, mask in rows:
+        grouped.setdefault(grade, []).append(mask)
+    return grouped
+
+
 def _dominates(row, other):
     return row[0] >= other[0] and row[1] & other[1] == row[1]
 
@@ -211,10 +218,10 @@ def test_minimal_rows_keep_exactly_the_non_dominated():
     # lower-grade row never implies a higher one, so (1, {2}) and
     # (2, {1, 2}) both stay.
     rows = [(1, 0b011), (2, 0b001), (1, 0b100), (2, 0b110), (1, 0b110), (2, 0b001)]
-    assert _minimal_rows(rows) == [(2, 0b001), (2, 0b110), (1, 0b100)]
+    assert _minimal_rows(_by_grade(rows)) == [(2, 0b001), (2, 0b110), (1, 0b100)]
     for inst in mixed_corpus(36, seed0=7500, max_n=8, max_levels=3):
         rows = _row_masks(build_ilp(inst))
-        kept = _minimal_rows(rows)
+        kept = _minimal_rows(_by_grade(rows))
         assert len(kept) == len(set(kept)) and set(kept) <= rows
         for row in rows - set(kept):
             assert any(_dominates(k, row) for k in kept), row
