@@ -277,10 +277,11 @@ def _minimal_rows(masks_by_grade: Mapping[int, Iterable[int]]) -> list[tuple[int
     Row (g', M') dominates (g, M) when g' >= g and M' is a subset of M:
     whichever v in M' carries grade >= g' also lies in M and carries
     grade >= g, so the dominated row can never be the one that fails.
-    Rows come in descending grade, then ascending popcount, so every
-    possible dominator is seen first; a dominated dominator is itself
-    dominated by a kept row. The kept rows come out in that order, ties
-    by mask.
+    Rows come in descending grade, then ascending popcount (ties by
+    mask), so every possible dominator comes first; a dominator that was
+    dropped has a kept dominator of its own, which dominates this row
+    too. The kept rows come out in that order, so the scan tries the
+    small masks, the likeliest to fail, first.
     """
     kept: list[tuple[int, int]] = []
     for grade in sorted(masks_by_grade, reverse=True):
