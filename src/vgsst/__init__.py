@@ -11,150 +11,108 @@ facilities at or above the lower of their two demands:
   and a cut-based 0/1 model with LP export, used as ground truth,
 - structural checkers: feasibility, grade-respecting trees, subtree
   demotion and rooted spider decompositions.
+
+The exports are lazy (PEP 562): ``import vgsst`` loads no submodule, and
+the first access to a name imports the module that defines it, so a
+caller pays only for the modules it uses.
 """
 
-from .costs import COST_SCALE, Cost, CostPrecisionError, format_fraction, ratio
-from .generators import fig2_instance, fig3_instance, random_instance
-from .greedy import (
-    GradedDistanceRow,
-    GrtForest,
-    MergeCandidate,
-    StaleCandidateError,
-    apply_merge,
-    best_candidate_for,
-    graded_shortest_paths,
-    init_forest,
-    select_global_candidate,
-    solve_greedy,
-)
-from .heuristics import (
-    VstContractError,
-    VstSubroutine,
-    greedy_as_vst,
-    single_grade_view,
-    solve_bottomup,
-    solve_topdown,
-)
-from .instance import (
-    EdgeWeightedInstance,
-    FeasibilityWitness,
-    GradeAssignment,
-    InfeasibleAssignmentError,
-    InputError,
-    Instance,
-    InternalInvariantError,
-    IterationRecord,
-    NormalizeResult,
-    SizeCapError,
-    SolutionReport,
-    VgsstError,
-    Violation,
-    check_feasible,
-    denormalize_solution,
-    edge_costs_to_vertex_costs,
-    extract_tree,
-    normalize,
-    solution_cost,
-    validate,
-)
-from .io import (
-    instance_from_json,
-    instance_to_json,
-    read_instance,
-    read_solution,
-    solution_from_json,
-    solution_to_json,
-)
-from .oracle import (
-    CutRow,
-    IlpModel,
-    IlpSolution,
-    build_ilp,
-    brute_force_optimum,
-    exact_vst,
-    export_lp,
-    model_point_feasible,
-    solve_ilp_by_enumeration,
-)
-from .reductions import (
-    DstInstance,
-    RootedSpiderDecomposition,
-    Spider,
-    brute_force_dst,
-    check_grt,
-    m_optimize,
-    reduce_to_dst,
-    spider_decompose,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "COST_SCALE",
-    "Cost",
-    "CostPrecisionError",
-    "CutRow",
-    "DstInstance",
-    "EdgeWeightedInstance",
-    "FeasibilityWitness",
-    "GradeAssignment",
-    "GradedDistanceRow",
-    "GrtForest",
-    "IlpModel",
-    "IlpSolution",
-    "InfeasibleAssignmentError",
-    "InputError",
-    "Instance",
-    "InternalInvariantError",
-    "IterationRecord",
-    "MergeCandidate",
-    "NormalizeResult",
-    "RootedSpiderDecomposition",
-    "SizeCapError",
-    "SolutionReport",
-    "Spider",
-    "StaleCandidateError",
-    "VgsstError",
-    "Violation",
-    "VstContractError",
-    "VstSubroutine",
-    "apply_merge",
-    "best_candidate_for",
-    "brute_force_dst",
-    "brute_force_optimum",
-    "build_ilp",
-    "check_feasible",
-    "check_grt",
-    "denormalize_solution",
-    "edge_costs_to_vertex_costs",
-    "exact_vst",
-    "export_lp",
-    "extract_tree",
-    "fig2_instance",
-    "fig3_instance",
-    "format_fraction",
-    "graded_shortest_paths",
-    "greedy_as_vst",
-    "init_forest",
-    "instance_from_json",
-    "instance_to_json",
-    "m_optimize",
-    "model_point_feasible",
-    "normalize",
-    "random_instance",
-    "ratio",
-    "read_instance",
-    "read_solution",
-    "reduce_to_dst",
-    "select_global_candidate",
-    "single_grade_view",
-    "solution_cost",
-    "solution_from_json",
-    "solution_to_json",
-    "solve_bottomup",
-    "solve_greedy",
-    "solve_ilp_by_enumeration",
-    "solve_topdown",
-    "spider_decompose",
-    "validate",
-]
+#: Submodule -> the names the package exports from it.
+_EXPORTS = {
+    "costs": ("COST_SCALE", "Cost", "CostPrecisionError", "format_fraction", "ratio"),
+    "generators": ("fig2_instance", "fig3_instance", "random_instance"),
+    "greedy": (
+        "GradedDistanceRow",
+        "GrtForest",
+        "MergeCandidate",
+        "StaleCandidateError",
+        "apply_merge",
+        "best_candidate_for",
+        "graded_shortest_paths",
+        "init_forest",
+        "select_global_candidate",
+        "solve_greedy",
+    ),
+    "heuristics": (
+        "VstSubroutine",
+        "greedy_as_vst",
+        "single_grade_view",
+        "solve_bottomup",
+        "solve_topdown",
+    ),
+    "instance": (
+        "EdgeWeightedInstance",
+        "FeasibilityWitness",
+        "GradeAssignment",
+        "InfeasibleAssignmentError",
+        "InputError",
+        "Instance",
+        "InternalInvariantError",
+        "IterationRecord",
+        "NormalizeResult",
+        "SizeCapError",
+        "SolutionReport",
+        "VgsstError",
+        "Violation",
+        "VstContractError",
+        "check_feasible",
+        "denormalize_solution",
+        "edge_costs_to_vertex_costs",
+        "extract_tree",
+        "normalize",
+        "solution_cost",
+        "validate",
+    ),
+    "io": (
+        "instance_from_json",
+        "instance_to_json",
+        "read_instance",
+        "read_solution",
+        "solution_from_json",
+        "solution_to_json",
+    ),
+    "oracle": (
+        "CutRow",
+        "IlpModel",
+        "IlpSolution",
+        "build_ilp",
+        "brute_force_optimum",
+        "exact_vst",
+        "export_lp",
+        "model_point_feasible",
+        "solve_ilp_by_enumeration",
+    ),
+    "reductions": (
+        "DstInstance",
+        "RootedSpiderDecomposition",
+        "Spider",
+        "brute_force_dst",
+        "check_grt",
+        "m_optimize",
+        "reduce_to_dst",
+        "spider_decompose",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS) | set(__all__))

@@ -4,6 +4,10 @@ Subcommands: solve, gen, export, verify, bench. Every subcommand is
 deterministic given its inputs, flags and seed. Exit codes: 0 success,
 1 verification failure, 2 input error, 3 internal invariant breach,
 4 size cap exceeded.
+
+Each subcommand imports the solver modules it runs inside its own
+function, so that start-up, which dominates a single-file call, loads
+only what the command needs: a greedy solve never loads the oracles.
 """
 
 from __future__ import annotations
@@ -11,13 +15,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .costs import Cost, CostPrecisionError
-from .generators import fig2_instance, fig3_instance, random_instance
-from .greedy import solve_greedy
-from .heuristics import VstContractError, greedy_as_vst, solve_bottomup, solve_topdown
 from .instance import (
     InfeasibleAssignmentError,
     InputError,
@@ -25,6 +25,7 @@ from .instance import (
     InternalInvariantError,
     SizeCapError,
     SolutionReport,
+    VstContractError,
     _check_assignment,
     _edge_masks,
     _reach,
@@ -42,8 +43,6 @@ from .io import (
     solution_to_json,
     write_atomic,
 )
-from .oracle import _assignment_ranges, build_ilp, export_lp, brute_force_optimum
-from .reductions import check_grt
 
 _ORACLE_VERTEX_LIMIT = 10
 _ALGORITHMS = ("greedy", "topdown", "bottomup", "exact")
@@ -58,7 +57,9 @@ def _ratio_text(cost: Cost, optimum: Cost) -> str:
 
 def _solve_instance(instance: Instance, algorithm: str) -> SolutionReport:
     if algorithm == "exact":
-        return brute_force_optimum(instance, limit=_ORACLE_VERTEX_LIMIT)
+        from . import oracle
+
+        return oracle.brute_force_optimum(instance, limit=_ORACLE_VERTEX_LIMIT)
     norm = normalize(instance)
     if norm.instance == instance:
         target = instance
@@ -67,11 +68,14 @@ def _solve_instance(instance: Instance, algorithm: str) -> SolutionReport:
         target = norm.instance
         mapped = norm
     if algorithm == "greedy":
-        report = solve_greedy(target)
-    elif algorithm == "topdown":
-        report = solve_topdown(target, greedy_as_vst)
-    elif algorithm == "bottomup":
-        report = solve_bottomup(target, greedy_as_vst)
+        from . import greedy
+
+        report = greedy.solve_greedy(target)
+    elif algorithm in ("topdown", "bottomup"):
+        from . import heuristics
+
+        solver = heuristics.solve_topdown if algorithm == "topdown" else heuristics.solve_bottomup
+        report = solver(target, heuristics.greedy_as_vst)
     else:
         raise InputError(f"unknown algorithm {algorithm!r}")
     if mapped is not None:
@@ -97,21 +101,26 @@ def _default_solution_path(input_path: str) -> str:
 def cmd_solve(args) -> int:
     if not args.input:
         raise InputError("no instance files given")
-    tasks = []
-    for path in args.input:
-        out = args.output if args.output and len(args.input) == 1 else _default_solution_path(path)
-        tasks.append((path, args.algorithm, out))
+    if args.output and len(args.input) > 1:
+        raise InputError(f"--output takes a single input, got {len(args.input)} inputs")
+    tasks = [
+        (path, args.algorithm, args.output or _default_solution_path(path)) for path in args.input
+    ]
 
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     # Refuse instances beyond the oracle's caps before anything is solved.
     oracle_inputs = {}
     if args.ratio or args.algorithm == "exact":
+        from . import oracle
+
         for path in args.input:
             oracle_inputs[path] = read_instance(path)
-            _assignment_ranges(oracle_inputs[path], _ORACLE_VERTEX_LIMIT)
+            oracle._assignment_ranges(oracle_inputs[path], _ORACLE_VERTEX_LIMIT)
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_solve_one_file, tasks))
     else:
@@ -125,7 +134,9 @@ def cmd_solve(args) -> int:
             if args.algorithm == "exact":
                 optimum = report
             else:
-                optimum = brute_force_optimum(oracle_inputs[path], limit=_ORACLE_VERTEX_LIMIT)
+                optimum = oracle.brute_force_optimum(
+                    oracle_inputs[path], limit=_ORACLE_VERTEX_LIMIT
+                )
             print(f"{path}: ratio {_ratio_text(report.total_cost, optimum.total_cost)}")
     return 0
 
@@ -140,6 +151,8 @@ def _seed(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .generators import fig2_instance, fig3_instance, random_instance
+
     seed = _seed(args)
     if args.builtin == "fig3":
         instance = fig3_instance()
@@ -193,8 +206,9 @@ def cmd_export(args) -> int:
     instance = read_instance(args.input)
     assert_valid(instance, structural_only=True)
     if args.lp:
-        model = build_ilp(instance)
-        text = export_lp(model)
+        from . import oracle
+
+        text = oracle.export_lp(oracle.build_ilp(instance))
     else:
         assignment = None
         if args.solution:
@@ -243,6 +257,9 @@ def _tree_failures(instance: Instance, report: SolutionReport) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+    from .reductions import check_grt
+
     instance = read_instance(args.instance)
     assert_valid(instance, structural_only=True)
     report = read_solution(args.solution)
@@ -275,17 +292,19 @@ def cmd_verify(args) -> int:
             print(f"FAIL: {f}")
         return 1
     try:
-        _assignment_ranges(instance, _ORACLE_VERTEX_LIMIT)
+        oracle._assignment_ranges(instance, _ORACLE_VERTEX_LIMIT)
     except SizeCapError:
         ratio = "skipped (beyond oracle caps)"
     else:
-        optimum = brute_force_optimum(instance, limit=_ORACLE_VERTEX_LIMIT)
+        optimum = oracle.brute_force_optimum(instance, limit=_ORACLE_VERTEX_LIMIT)
         ratio = _ratio_text(report.total_cost, optimum.total_cost)
     print(f"PASS: cost {report.total_cost}, ratio {ratio}")
     return 0
 
 
 def cmd_bench(args) -> int:
+    from .generators import random_instance
+
     seed = _seed(args)
     algorithms = args.algorithms.split(",")
     for algorithm in algorithms:
@@ -297,8 +316,10 @@ def cmd_bench(args) -> int:
     ]
     # Refuse instances beyond the oracle's caps before printing anything.
     if "exact" in algorithms:
+        from . import oracle
+
         for instance in instances:
-            _assignment_ranges(instance, _ORACLE_VERTEX_LIMIT)
+            oracle._assignment_ranges(instance, _ORACLE_VERTEX_LIMIT)
     print("instance " + " ".join(algorithms))
     for k, instance in enumerate(instances):
         row = [f"seed={seed + k}"]

@@ -20,6 +20,7 @@ from .instance import (
     InternalInvariantError,
     SolutionReport,
     VgsstError,
+    VstContractError,
     _edge_masks,
     _reach,
     assert_valid,
@@ -35,10 +36,6 @@ from .reductions import _build_rooted, _subtree_demand
 #: (every terminal requiring grade 1) and returns a vertex set that
 #: induces a connected subgraph containing all its terminals.
 VstSubroutine = Callable[[Instance], frozenset[int]]
-
-
-class VstContractError(VgsstError):
-    """The plugged single-grade subroutine returned an unusable vertex set."""
 
 
 def single_grade_view(

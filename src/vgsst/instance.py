@@ -40,6 +40,10 @@ class InfeasibleAssignmentError(VgsstError):
     """An operation requiring a feasible assignment was given an infeasible one."""
 
 
+class VstContractError(VgsstError):
+    """The plugged single-grade subroutine returned an unusable vertex set."""
+
+
 def canon_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 

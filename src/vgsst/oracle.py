@@ -212,7 +212,7 @@ def build_ilp(instance: Instance, limit: int = 15) -> IlpModel:
         for v in range(n)
     )
     return IlpModel(
-        num_vertices=n, grades=instance.grades, objective=objective, cuts=cuts
+        num_vertices=n, grades=instance.grades, objective=objective, cuts=tuple(cuts)
     )
 
 

@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, determinism, exit codes."""
 
+import concurrent.futures
+import importlib
 import json
 import os
 import subprocess
@@ -7,7 +9,9 @@ import sys
 
 import pytest
 
+import vgsst
 import vgsst.cli
+import vgsst.oracle
 from vgsst import Cost, Instance, fig3_instance, instance_to_json, random_instance, read_solution
 from vgsst.cli import main
 
@@ -77,13 +81,13 @@ def test_solve_ratio_flag(capsys, fig3_file, tmp_path):
 
 def test_solve_exact_ratio_runs_the_oracle_once(capsys, fig3_file, tmp_path, monkeypatch):
     calls = []
-    oracle = vgsst.cli.brute_force_optimum
+    oracle = vgsst.oracle.brute_force_optimum
 
     def counting(*args, **kwargs):
         calls.append(args)
         return oracle(*args, **kwargs)
 
-    monkeypatch.setattr(vgsst.cli, "brute_force_optimum", counting)
+    monkeypatch.setattr(vgsst.oracle, "brute_force_optimum", counting)
     code, out, _ = run(
         capsys,
         "solve", "--algorithm", "exact", fig3_file,
@@ -104,6 +108,17 @@ def test_solve_refuses_oracle_sized_inputs_before_solving(capsys, fig3_file, tmp
     assert "oracle limited to 10 vertices" in err
     assert out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.json", "fig3.json"]
+
+
+def test_solve_refuses_output_with_several_inputs(capsys, fig3_file, tmp_path):
+    other = tmp_path / "other.json"
+    other.write_text(instance_to_json(random_instance(7, 2, seed=1)))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run(capsys, "solve", fig3_file, str(other), "-o", str(tmp_path / "x.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_solve_normalizes_costly_terminals(capsys, tmp_path):
@@ -436,7 +451,7 @@ def test_jobs_are_clamped(capsys, tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(vgsst.cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(vgsst.cli.os, "cpu_count", lambda: 8)
     paths = []
     for k in range(3):
@@ -452,11 +467,61 @@ def test_jobs_are_clamped(capsys, tmp_path, monkeypatch):
     assert Recorder.workers == [3, 2]
 
 
-def test_import_pulls_in_no_numpy():
+def _fresh_python(*argv, cwd=None):
+    """Run ``python *argv`` in a fresh interpreter that imports this checkout's vgsst."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, vgsst; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd, check=True
     )
+
+
+def test_import_pulls_in_no_numpy():
+    proc = _fresh_python("-c", "import sys, vgsst; print('numpy' in sys.modules)")
     assert proc.stdout.strip() == "False"
+
+
+# Runs the CLI as ``python -m vgsst.cli`` does, then prints the vgsst
+# submodules and concurrent.futures modules it loaded, one per line.
+_LOADED_BY_CLI = """
+import runpy, sys
+sys.argv = ["vgsst", *sys.argv[1:]]
+try:
+    runpy.run_module("vgsst.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+for name in sorted(sys.modules):
+    if name.startswith(("vgsst.", "concurrent")):
+        print(name)
+"""
+
+
+def test_import_loads_no_submodule():
+    proc = _fresh_python("-c", "import sys, vgsst; print([m for m in sys.modules if 'vgsst.' in m])")
+    assert proc.stdout.strip() == "[]"
+
+
+def test_subcommands_load_only_what_they_run(fig3_file, tmp_path):
+    sol = str(tmp_path / "s.json")
+    solve = _fresh_python("-c", _LOADED_BY_CLI, "solve", fig3_file, "-o", sol).stdout.split()
+    assert "vgsst.greedy" in solve
+    for name in ("vgsst.oracle", "vgsst.reductions", "vgsst.heuristics", "vgsst.generators",
+                 "concurrent.futures"):
+        assert name not in solve
+    verify = _fresh_python("-c", _LOADED_BY_CLI, "verify", fig3_file, sol).stdout.split()
+    assert {"vgsst.oracle", "vgsst.reductions"} <= set(verify)
+    for name in ("vgsst.greedy", "vgsst.heuristics", "vgsst.generators", "concurrent.futures"):
+        assert name not in verify
+
+
+def test_lazy_exports_resolve_to_their_modules():
+    for name in vgsst.__all__:
+        owner = importlib.import_module(f"vgsst.{vgsst._MODULE_OF[name]}")
+        assert getattr(vgsst, name) is getattr(owner, name), name
+    assert set(vgsst.__all__) <= set(dir(vgsst))
+    star = {}
+    exec("from vgsst import *", star)
+    assert set(vgsst.__all__) <= set(star)
+    assert vgsst.heuristics.VstContractError is vgsst.VstContractError
+    with pytest.raises(AttributeError):
+        vgsst.no_such_name

@@ -103,6 +103,12 @@ def test_single_demanding_terminal_produces_no_rows():
     assert all(cut.grade == 1 for cut in model.cuts)
 
 
+def test_model_is_immutable_and_hashable(fig3):
+    model = build_ilp(fig3)
+    assert type(model.cuts) is tuple
+    assert hash(model) == hash(build_ilp(fig3))
+
+
 def test_model_caps():
     inst = _path_instance()
     with pytest.raises(SizeCapError):
