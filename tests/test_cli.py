@@ -467,12 +467,12 @@ def test_jobs_are_clamped(capsys, tmp_path, monkeypatch):
     assert Recorder.workers == [3, 2]
 
 
-def _fresh_python(*argv, cwd=None):
+def _fresh_python(*argv):
     """Run ``python *argv`` in a fresh interpreter that imports this checkout's vgsst."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd, check=True
+        [sys.executable, *argv], capture_output=True, text=True, env=env, check=True
     )
 
 
@@ -497,8 +497,8 @@ for name in sorted(sys.modules):
 
 
 def test_import_loads_no_submodule():
-    proc = _fresh_python("-c", "import sys, vgsst; print([m for m in sys.modules if 'vgsst.' in m])")
-    assert proc.stdout.strip() == "[]"
+    code = "import sys, vgsst; print([m for m in sys.modules if m.startswith('vgsst.')])"
+    assert _fresh_python("-c", code).stdout.strip() == "[]"
 
 
 def test_subcommands_load_only_what_they_run(fig3_file, tmp_path):
