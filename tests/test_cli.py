@@ -476,9 +476,24 @@ def _fresh_python(*argv):
     )
 
 
+# Imports every module of the package, then every export; prints whether
+# numpy came along, then the vgsst modules that loaded, one per line.
+_LOAD_EVERYTHING = """
+import importlib, pkgutil, sys, vgsst
+for info in pkgutil.iter_modules(vgsst.__path__):
+    importlib.import_module(f"vgsst.{info.name}")
+from vgsst import *
+print("numpy" in sys.modules)
+for name in sorted(sys.modules):
+    if name.startswith("vgsst."):
+        print(name)
+"""
+
+
 def test_import_pulls_in_no_numpy():
-    proc = _fresh_python("-c", "import sys, vgsst; print('numpy' in sys.modules)")
-    assert proc.stdout.strip() == "False"
+    numpy, *loaded = _fresh_python("-c", _LOAD_EVERYTHING).stdout.split()
+    assert {f"vgsst.{m}" for m in (*vgsst._EXPORTS, "cli")} <= set(loaded)
+    assert numpy == "False"
 
 
 # Runs the CLI as ``python -m vgsst.cli`` does, then prints the vgsst
@@ -525,3 +540,15 @@ def test_lazy_exports_resolve_to_their_modules():
     assert vgsst.heuristics.VstContractError is vgsst.VstContractError
     with pytest.raises(AttributeError):
         vgsst.no_such_name
+
+
+def test_lazy_exports_keep_no_patched_object(monkeypatch):
+    def patched(*args, **kwargs):
+        raise AssertionError("not called")
+
+    with monkeypatch.context() as m:
+        m.setattr(vgsst.oracle, "brute_force_optimum", patched)
+        assert vgsst.brute_force_optimum is patched
+    # The package reads through to the module, so undoing the patch there
+    # undoes it in the package too.
+    assert vgsst.brute_force_optimum is vgsst.oracle.brute_force_optimum is not patched
