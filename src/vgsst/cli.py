@@ -83,14 +83,13 @@ def _solve_instance(instance: Instance, algorithm: str) -> SolutionReport:
     return report
 
 
-def _solve_one_file(task: tuple[str, str, str]) -> tuple[str, str, str]:
-    path, algorithm, out_path = task
-    instance = read_instance(path)
+def _solve_one_file(task: tuple[str, Instance, str, str]) -> tuple[Cost, str]:
+    path, instance, algorithm, out_path = task
     assert_valid(instance, structural_only=True)
     report = _solve_instance(instance, algorithm)
     write_atomic(out_path, solution_to_json(report))
     line = f"{path}: cost {report.total_cost} iterations {len(report.iterations)}"
-    return path, out_path, line
+    return report.total_cost, line
 
 
 def _default_solution_path(input_path: str) -> str:
@@ -103,20 +102,20 @@ def cmd_solve(args) -> int:
         raise InputError("no instance files given")
     if args.output and len(args.input) > 1:
         raise InputError(f"--output takes a single input, got {len(args.input)} inputs")
-    tasks = [
-        (path, args.algorithm, args.output or _default_solution_path(path)) for path in args.input
-    ]
-
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    # Refuse instances beyond the oracle's caps before anything is solved.
-    oracle_inputs = {}
+    # Every input is parsed once, here, and refused beyond the oracle's
+    # caps before anything is solved.
+    instances = [read_instance(path) for path in args.input]
     if args.ratio or args.algorithm == "exact":
         from . import oracle
 
-        for path in args.input:
-            oracle_inputs[path] = read_instance(path)
-            oracle._assignment_ranges(oracle_inputs[path], _ORACLE_VERTEX_LIMIT)
+        for instance in instances:
+            oracle._assignment_ranges(instance, _ORACLE_VERTEX_LIMIT)
+    tasks = [
+        (path, instance, args.algorithm, args.output or _default_solution_path(path))
+        for path, instance in zip(args.input, instances)
+    ]
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -126,18 +125,17 @@ def cmd_solve(args) -> int:
     else:
         results = [_solve_one_file(t) for t in tasks]
 
-    for path, out, line in results:
+    for path, instance, (cost, line) in zip(args.input, instances, results):
         print(line)
         if args.ratio:
-            report = read_solution(out)
-            # An exact solve's report already is the optimum.
+            # An exact solve's cost already is the optimum.
             if args.algorithm == "exact":
-                optimum = report
+                optimum = cost
             else:
                 optimum = oracle.brute_force_optimum(
-                    oracle_inputs[path], limit=_ORACLE_VERTEX_LIMIT
-                )
-            print(f"{path}: ratio {_ratio_text(report.total_cost, optimum.total_cost)}")
+                    instance, limit=_ORACLE_VERTEX_LIMIT
+                ).total_cost
+            print(f"{path}: ratio {_ratio_text(cost, optimum)}")
     return 0
 
 

@@ -446,10 +446,16 @@ def check_feasible(
 
 
 def feasibility_tester(instance: Instance):
-    """Build a fast boolean-only feasibility closure over bitmasks.
+    """Build a violation closure over bitmasks for the oracle's lattice walk.
 
-    Same criterion as :func:`check_feasible`, without witness bookkeeping;
-    meant for enumeration loops.
+    Same criterion as :func:`check_feasible`, without witness bookkeeping.
+    The closure returns None for a feasible ``y``. Otherwise it returns
+    the highest vertex whose raise can repair the first failure found:
+    a terminal below its floor returns its own index; a grade whose
+    demanding terminals are split returns the top vertex of the boundary
+    of the first one's component in the level set. Every boundary vertex
+    sits below that grade, and every path out of the component crosses
+    the boundary, so no raise right of that vertex joins the terminals.
     """
     n = instance.num_vertices
     adj_masks = _edge_masks(n, instance.edges)
@@ -460,20 +466,27 @@ def feasibility_tester(instance: Instance):
         if len(needed) >= 2:
             grade_needs.append((grade, sum(1 << v for v in needed), needed[0]))
 
-    def feasible(y: Sequence[int]) -> bool:
+    def violated(y: Sequence[int]) -> int | None:
         for v, r in floors:
             if y[v] < r:
-                return False
+                return v
         for grade, need, start in grade_needs:
             level = 0
             for v in range(n):
                 if y[v] >= grade:
                     level |= 1 << v
-            if need & ~_reach(adj_masks, level, start):
-                return False
-        return True
+            reached = _reach(adj_masks, level, start)
+            if need & ~reached:
+                spread = 0
+                rest = reached
+                while rest:
+                    low = rest & -rest
+                    spread |= adj_masks[low.bit_length() - 1]
+                    rest ^= low
+                return (spread & ~reached).bit_length() - 1
+        return None
 
-    return feasible
+    return violated
 
 
 def solution_cost(instance: Instance, y: GradeAssignment) -> Cost:

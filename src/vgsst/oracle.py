@@ -6,19 +6,28 @@ enumerators share one backend, a best-first walk of the grade lattice
 that visits assignments in exact (cost, lexicographic) order and returns
 the first feasible one, so results and tie-breaks are reproducible.
 
-The cut model is built in full, for export and inspection, but its scan
-checks only the non-dominated rows. A row at grade g' >= g whose
-neighbourhood is a subset of another row's implies that row: the vertex
-of grade >= g' that satisfies it lies in the larger neighbourhood too.
-Dropping implied rows leaves the feasible region, and so the first
-feasible point of the walk, unchanged.
+The walk asks each infeasible point for the highest coordinate whose
+raise could repair it and generates no child beyond it; a pruned child
+heads a subtree of infeasible points only (see ``_scan_lattice``).
+
+The cut model stores only what its rows derive from: the neighbour
+masks and, per grade, the terminals demanding it. Its ``CutRow``
+objects are built on first access to ``IlpModel.cuts``, for export and
+inspection; the solve never builds them. It gathers the rows'
+neighbourhood masks straight from the subset enumeration and scans only
+the non-dominated ones. A row at grade g' >= g whose neighbourhood is a
+subset of another row's implies that row: the vertex of grade >= g'
+that satisfies it lies in the larger neighbourhood too. Dropping implied
+rows leaves the feasible region, and so the first feasible point of the
+walk, unchanged.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .costs import Cost
 from .instance import (
@@ -67,7 +76,7 @@ def _cost_tables(instance: Instance, ranges) -> list[list[int]]:
     ]
 
 
-def _scan_lattice(ranges, tables, feasible) -> tuple[tuple[int, ...], int] | None:
+def _scan_lattice(ranges, tables, violated) -> tuple[tuple[int, ...], int] | None:
     """Best-first walk of the grade lattice in (cost, lex) order.
 
     Children raise one coordinate at or right of the last raised one, so
@@ -75,6 +84,18 @@ def _scan_lattice(ranges, tables, feasible) -> tuple[tuple[int, ...], int] | Non
     and a raised coordinate makes the vector lexicographically larger, so
     every child's (cost, vector) key exceeds its parent's: the heap pops
     assignments in globally sorted order while holding only the frontier.
+
+    ``violated(y)`` returns None when ``y`` is feasible. Otherwise it
+    returns a coordinate ``last`` such that some constraint that ``y``
+    fails stays failed until a coordinate at or left of ``last`` rises;
+    children are generated only for k in ``start..last``. This is exact:
+    a child raising k > ``last``, and every descendant of it, raises only
+    coordinates at or right of k, so it agrees with ``y`` up to ``last``
+    and fails the same constraint. Pruning therefore removes only
+    infeasible points, and every feasible point keeps its parent chain.
+    Every node left keeps its (cost, vector) key and so its place in the
+    pop order; the first feasible point popped, tie-break included, is
+    the one the unpruned walk returns.
     """
     n = len(ranges)
     floors = tuple(lo for lo, _ in ranges)
@@ -82,9 +103,10 @@ def _scan_lattice(ranges, tables, feasible) -> tuple[tuple[int, ...], int] | Non
     heap: list[tuple[int, tuple[int, ...], int]] = [(base, floors, 0)]
     while heap:
         cost, y, start = heapq.heappop(heap)
-        if feasible(y):
+        last = violated(y)
+        if last is None:
             return y, cost
-        for k in range(start, n):
+        for k in range(start, last + 1):
             lo, hi = ranges[k]
             g = y[k]
             if g < hi:
@@ -147,12 +169,34 @@ class IlpModel:
     Objective splits each ladder into increments so that a ladder-
     consistent point pays exactly the assignment cost. Cut rows enforce
     per-grade terminal connectivity; ladder rows order the indicators.
+
+    The model holds what its cut rows derive from: each vertex's
+    neighbour mask, and per grade i the mask of the terminals demanding
+    grade i or more. ``cuts`` builds the rows on first access and keeps
+    them; the cache takes no part in equality or hashing.
     """
 
     num_vertices: int
     grades: int
     objective: tuple[tuple[Cost, ...], ...]  # [v][i-1] -> c_i(v) - c_{i-1}(v)
-    cuts: tuple[CutRow, ...]
+    neighbor_masks: tuple[int, ...]  # [v] -> bitmask of v's neighbours
+    demand_masks: tuple[int, ...]  # [i-1] -> bitmask of terminals demanding >= i
+
+    @cached_property
+    def cuts(self) -> tuple[CutRow, ...]:
+        """Every cut row, grade ascending, then subset mask ascending."""
+        n = self.num_vertices
+        # One tuple per distinct boundary, shared by every row that has it.
+        shared: dict[int, tuple[int, ...]] = {}
+        rows = []
+        for grade, subset, boundary in _cut_boundaries(self):
+            neighborhood = shared.get(boundary)
+            if neighborhood is None:
+                neighborhood = shared[boundary] = tuple(
+                    v for v in range(n) if boundary >> v & 1
+                )
+            rows.append(CutRow(grade=grade, subset_mask=subset, neighborhood=neighborhood))
+        return tuple(rows)
 
     @property
     def num_variables(self) -> int:
@@ -163,47 +207,48 @@ class IlpModel:
         return len(self.cuts) + self.num_vertices * (self.grades - 1)
 
 
-def build_ilp(instance: Instance, limit: int = 15) -> IlpModel:
-    """Enumerate all cut constraints over every vertex subset, per grade.
+def _cut_boundaries(model: IlpModel) -> Iterator[tuple[int, int, int]]:
+    """(grade, subset mask, neighbourhood mask) of every cut row, in
+    ``IlpModel.cuts`` order.
 
     A subset gets a grade-i row when it contains at least one but not all
     of the terminals demanding grade i or more; grades demanded by fewer
-    than two terminals can never produce such a row and are skipped.
+    than two terminals can never produce such a row and are skipped. The
+    row's neighbourhood is the subset's boundary.
+    """
+    n = model.num_vertices
+    # spread[s]: every neighbour of some vertex of s, one DP over subsets.
+    spread = [0] * (1 << n)
+    for subset in range(1, 1 << n):
+        low = subset & -subset
+        spread[subset] = spread[subset ^ low] | model.neighbor_masks[low.bit_length() - 1]
+    for grade, term_mask in enumerate(model.demand_masks, start=1):
+        count = term_mask.bit_count()
+        if count < 2:
+            continue
+        for subset in range(1, 1 << n):
+            inside = (subset & term_mask).bit_count()
+            if inside == 0 or inside == count:
+                continue
+            yield grade, subset, spread[subset] & ~subset
+
+
+def build_ilp(instance: Instance, limit: int = 15) -> IlpModel:
+    """The cut model of ``instance``: objective increments, neighbour
+    masks and per-grade demand masks.
+
+    Refuses instances beyond ``limit`` vertices. The cut rows themselves
+    are enumerated over every vertex subset, per grade, only when
+    ``IlpModel.cuts`` is first read.
     """
     assert_valid(instance, structural_only=True)
     n = instance.num_vertices
     if n > limit:
         raise SizeCapError(f"cut enumeration limited to {limit} vertices, got {n}")
-    adj_mask = _edge_masks(n, instance.edges)
-    # spread[s]: every neighbour of some vertex of s, one DP over subsets.
-    spread = [0] * (1 << n)
-    for subset in range(1, 1 << n):
-        low = subset & -subset
-        spread[subset] = spread[subset ^ low] | adj_mask[low.bit_length() - 1]
-    # One tuple per distinct boundary, shared by every row that has it.
-    shared: dict[int, tuple[int, ...]] = {}
-
-    cuts: list[CutRow] = []
-    for grade in range(1, instance.grades + 1):
-        demanding = [t for t in instance.terminals if instance.required[t] >= grade]
-        count = len(demanding)
-        if count < 2:
-            continue
-        term_mask = 0
-        for t in demanding:
-            term_mask |= 1 << t
-        for subset in range(1, 1 << n):
-            inside = (subset & term_mask).bit_count()
-            if inside == 0 or inside == count:
-                continue
-            boundary = spread[subset] & ~subset
-            neighborhood = shared.get(boundary)
-            if neighborhood is None:
-                neighborhood = shared[boundary] = tuple(
-                    v for v in range(n) if boundary >> v & 1
-                )
-            cuts.append(CutRow(grade=grade, subset_mask=subset, neighborhood=neighborhood))
-
+    demand_masks = tuple(
+        sum(1 << t for t in instance.terminals if instance.required[t] >= grade)
+        for grade in range(1, instance.grades + 1)
+    )
     objective = tuple(
         tuple(
             instance.cost_of(v, i) - instance.cost_of(v, i - 1)
@@ -212,7 +257,11 @@ def build_ilp(instance: Instance, limit: int = 15) -> IlpModel:
         for v in range(n)
     )
     return IlpModel(
-        num_vertices=n, grades=instance.grades, objective=objective, cuts=tuple(cuts)
+        num_vertices=n,
+        grades=instance.grades,
+        objective=objective,
+        neighbor_masks=tuple(_edge_masks(n, instance.edges)),
+        demand_masks=demand_masks,
     )
 
 
@@ -313,6 +362,10 @@ def solve_ilp_by_enumeration(model: IlpModel, cap: int = 24) -> IlpSolution:
     cut is optimal. The scan checks only the non-dominated cut rows (see
     ``_minimal_rows``): each dropped row is implied by a kept one, so the
     feasible region, and with it the first feasible point, is unchanged.
+    The row masks come straight from ``_cut_boundaries``; no ``CutRow``
+    is built. A failed row (g, M) is repaired only by raising a vertex
+    of M, so the walk is pruned at the smallest top vertex of M among
+    the failed rows.
     """
     if model.num_variables > cap:
         raise SizeCapError(
@@ -320,31 +373,28 @@ def solve_ilp_by_enumeration(model: IlpModel, cap: int = 24) -> IlpSolution:
         )
     ranges = [(0, model.grades)] * model.num_vertices
 
-    bits = [1 << v for v in range(model.num_vertices)]
-    masks: dict[tuple[int, ...], int] = {}
     masks_by_grade: dict[int, set[int]] = {}
-    for cut in model.cuts:
-        mask = masks.get(cut.neighborhood)
-        if mask is None:
-            mask = masks[cut.neighborhood] = sum(map(bits.__getitem__, cut.neighborhood))
-        masks_by_grade.setdefault(cut.grade, set()).add(mask)
-    checks = _minimal_rows(masks_by_grade)
+    for grade, _, boundary in _cut_boundaries(model):
+        masks_by_grade.setdefault(grade, set()).add(boundary)
+    checks = [
+        (grade, mask, mask.bit_length() - 1) for grade, mask in _minimal_rows(masks_by_grade)
+    ]
 
-    def feasible(y: Sequence[int]) -> bool:
-        for grade, mask in checks:
+    def violated(y: Sequence[int]) -> int | None:
+        last = None
+        for grade, mask, top in checks:
             rest = mask
-            hit = False
             while rest:
                 low = rest & -rest
                 if y[low.bit_length() - 1] >= grade:
-                    hit = True
                     break
                 rest ^= low
-            if not hit:
-                return False
-        return True
+            else:
+                if last is None or top < last:
+                    last = top
+        return last
 
-    found = _scan_lattice(ranges, _objective_tables(model), feasible)
+    found = _scan_lattice(ranges, _objective_tables(model), violated)
     if found is None:
         raise InternalInvariantError("cut model has no feasible point")
     y, objective = found

@@ -98,6 +98,30 @@ def test_solve_exact_ratio_runs_the_oracle_once(capsys, fig3_file, tmp_path, mon
     assert len(calls) == 1
 
 
+def test_solve_ratio_parses_each_input_once(capsys, fig3_file, tmp_path, monkeypatch):
+    calls = {"read_instance": 0, "read_solution": 0}
+
+    def counting(name):
+        original = getattr(vgsst.cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(vgsst.cli, name, wrapper)
+
+    counting("read_instance")
+    counting("read_solution")
+    code, out, _ = run(
+        capsys,
+        "solve", "--algorithm", "topdown", fig3_file,
+        "-o", str(tmp_path / "s.json"), "--ratio",
+    )
+    assert code == 0
+    assert out == f"{fig3_file}: cost 33 iterations 0\n{fig3_file}: ratio 1.1\n"
+    assert calls == {"read_instance": 1, "read_solution": 0}
+
+
 @pytest.mark.parametrize("flags", [["--ratio"], ["--algorithm", "exact"]])
 def test_solve_refuses_oracle_sized_inputs_before_solving(capsys, fig3_file, tmp_path, flags):
     # fig3 fits the oracle; the second file does not, so nothing may be solved.

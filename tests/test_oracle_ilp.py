@@ -16,6 +16,7 @@ from vgsst import (
     check_feasible,
     export_lp,
     fig2_instance,
+    fig3_instance,
     model_point_feasible,
     random_instance,
     solution_cost,
@@ -26,7 +27,13 @@ from vgsst import (
     greedy_as_vst,
 )
 
-from vgsst.oracle import _minimal_rows, _objective_tables, _scan_lattice
+from vgsst.oracle import (
+    _assignment_ranges,
+    _cost_tables,
+    _minimal_rows,
+    _objective_tables,
+    _scan_lattice,
+)
 
 from conftest import mixed_corpus
 
@@ -107,6 +114,22 @@ def test_model_is_immutable_and_hashable(fig3):
     model = build_ilp(fig3)
     assert type(model.cuts) is tuple
     assert hash(model) == hash(build_ilp(fig3))
+
+
+def test_models_of_equal_instances_are_equal_before_and_after_rows_are_built(fig3):
+    model, twin = build_ilp(fig3), build_ilp(fig3_instance())
+    assert model == twin and hash(model) == hash(twin)
+    assert model.cuts and "cuts" in vars(model) and "cuts" not in vars(twin)
+    assert model == twin and hash(model) == hash(twin)
+
+
+def test_solve_builds_no_cut_rows():
+    for n, levels in MODEL_RUNGS:
+        model = build_ilp(
+            random_instance(n, levels, seed=1, edge_prob=0.4, terminal_fraction=0.4)
+        )
+        solve_ilp_by_enumeration(model)
+        assert "cuts" not in vars(model), (n, levels)
 
 
 def test_model_caps():
@@ -237,14 +260,48 @@ def test_minimal_rows_keep_exactly_the_non_dominated():
 
 def test_filtered_scan_matches_every_row_reference():
     # Same assignment, not only the same objective, as a scan that checks
-    # every cut row of the model.
+    # every cut row of the model and never prunes.
     for inst in mixed_corpus(36, seed0=7500, max_n=8, max_levels=3):
         model = build_ilp(inst)
         solution = solve_ilp_by_enumeration(model)
         reference = _scan_lattice(
             [(0, model.grades)] * model.num_vertices,
             _objective_tables(model),
-            lambda y: model_point_feasible(model, y),
+            lambda y: None if model_point_feasible(model, y) else model.num_vertices - 1,
+        )
+        assert (solution.assignment, solution.objective.micros) == reference
+
+
+def _unpruned(ranges, tables, feasible):
+    """The lattice walk with a callback that never prunes."""
+    last = len(ranges) - 1
+    return _scan_lattice(ranges, tables, lambda y: None if feasible(y) else last)
+
+
+def test_pruned_walks_match_an_unpruned_walk():
+    # Both oracle routes prune the walk at a failed constraint; the walk
+    # that generates every child must find the same point, tie-break
+    # included.
+    pinned = [
+        random_instance(n, levels, seed=seed, edge_prob=0.4, terminal_fraction=0.4)
+        for n, levels in MODEL_RUNGS
+        for seed in (1, 2)
+    ]
+    for inst in mixed_corpus(40, seed0=7600, max_n=8) + pinned:
+        ranges = _assignment_ranges(inst, inst.num_vertices)
+        report = brute_force_optimum(inst, limit=inst.num_vertices)
+        reference = _unpruned(
+            ranges, _cost_tables(inst, ranges), lambda y: check_feasible(inst, y)[0]
+        )
+        assert (report.assignment, report.total_cost.micros) == reference
+
+        model = build_ilp(inst)
+        solution = solve_ilp_by_enumeration(model)
+        rows = sorted(_row_masks(model), key=lambda row: row[1].bit_count())
+        reference = _unpruned(
+            [(0, model.grades)] * model.num_vertices,
+            _objective_tables(model),
+            lambda y: all(any(y[v] >= g for v in range(len(y)) if m >> v & 1) for g, m in rows),
         )
         assert (solution.assignment, solution.objective.micros) == reference
 
