@@ -1,5 +1,7 @@
 """Data model: validation, feasibility, costs, tree extraction."""
 
+from itertools import product
+
 import pytest
 
 from vgsst import (
@@ -10,10 +12,11 @@ from vgsst import (
     brute_force_optimum,
     check_feasible,
     extract_tree,
+    fig3_instance,
     solution_cost,
     validate,
 )
-from vgsst.instance import _UnionFind
+from vgsst.instance import _UnionFind, feasibility_tester
 
 from conftest import mixed_corpus
 
@@ -90,6 +93,23 @@ def test_all_zero_assignment_fails_requirement(fig3):
     assert not ok
     assert witness.kind == "requirement"
     assert witness.vertex == 0
+
+
+def test_tester_names_a_vertex_no_raise_beyond_which_repairs():
+    # The lattice walk prunes every child raising a vertex beyond the one
+    # the tester names; raising all of those to the top grade, the best
+    # such descendant, must leave the point infeasible.
+    for inst in mixed_corpus(30, seed0=7700, max_n=6, max_levels=3):
+        violated = feasibility_tester(inst)
+        top = inst.grades
+        for y in product(range(top + 1), repeat=inst.num_vertices):
+            last = violated(y)
+            assert (last is None) == check_feasible(inst, y)[0], y
+            if last is not None:
+                raised = y[: last + 1] + (top,) * (len(y) - last - 1)
+                assert not check_feasible(inst, raised)[0], (y, last)
+    # A terminal below its floor names itself.
+    assert feasibility_tester(fig3_instance())((2, 2, 2, 0, 2, 0, 2, 2)) == 5
 
 
 def test_check_feasible_rejects_bad_shapes(fig3):

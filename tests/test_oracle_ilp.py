@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+import vgsst.oracle
 from vgsst import (
     Cost,
     Instance,
@@ -123,7 +124,11 @@ def test_models_of_equal_instances_are_equal_before_and_after_rows_are_built(fig
     assert model == twin and hash(model) == hash(twin)
 
 
-def test_solve_builds_no_cut_rows():
+def test_solve_builds_no_cut_rows(monkeypatch):
+    def refuse(**_):
+        raise AssertionError("a CutRow was built")
+
+    monkeypatch.setattr(vgsst.oracle, "CutRow", refuse)
     for n, levels in MODEL_RUNGS:
         model = build_ilp(
             random_instance(n, levels, seed=1, edge_prob=0.4, terminal_fraction=0.4)
@@ -258,24 +263,24 @@ def test_minimal_rows_keep_exactly_the_non_dominated():
             assert not any(_dominates(a, b) for b in kept if b != a), a
 
 
+def _unpruned(ranges, tables, feasible):
+    """The lattice walk with a callback that never prunes."""
+    last = len(ranges) - 1
+    return _scan_lattice(ranges, tables, lambda y: None if feasible(y) else last)
+
+
 def test_filtered_scan_matches_every_row_reference():
     # Same assignment, not only the same objective, as a scan that checks
     # every cut row of the model and never prunes.
     for inst in mixed_corpus(36, seed0=7500, max_n=8, max_levels=3):
         model = build_ilp(inst)
         solution = solve_ilp_by_enumeration(model)
-        reference = _scan_lattice(
+        reference = _unpruned(
             [(0, model.grades)] * model.num_vertices,
             _objective_tables(model),
-            lambda y: None if model_point_feasible(model, y) else model.num_vertices - 1,
+            lambda y: model_point_feasible(model, y),
         )
         assert (solution.assignment, solution.objective.micros) == reference
-
-
-def _unpruned(ranges, tables, feasible):
-    """The lattice walk with a callback that never prunes."""
-    last = len(ranges) - 1
-    return _scan_lattice(ranges, tables, lambda y: None if feasible(y) else last)
 
 
 def test_pruned_walks_match_an_unpruned_walk():
