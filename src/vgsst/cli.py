@@ -394,7 +394,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, CostPrecisionError, FileNotFoundError, InfeasibleAssignmentError) as exc:
+    except (InputError, CostPrecisionError, OSError, InfeasibleAssignmentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeCapError as exc:

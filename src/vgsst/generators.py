@@ -132,6 +132,8 @@ def random_instance(
         )
 
     if num_terminals is None:
+        if not 0.0 <= terminal_fraction <= 1.0:
+            raise InputError("terminal fraction must be within [0, 1]")
         num_terminals = max(1, round(terminal_fraction * n))
     if not 1 <= num_terminals <= n:
         raise InputError(f"terminal count {num_terminals} out of range")

@@ -120,9 +120,6 @@ class Instance:
             return Cost.zero()
         return self.costs[v][grade - 1]
 
-    def is_terminal(self, v: int) -> bool:
-        return v in self.required
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -88,6 +88,8 @@ def _loads(text: str) -> Any:
         return json.loads(text, parse_float=Decimal)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("invalid JSON: nested too deeply") from exc
 
 
 def _require_fields(obj: dict, allowed: set[str], what: str) -> None:
@@ -222,14 +224,20 @@ def solution_from_json(text: str) -> SolutionReport:
 # Files
 
 
-def read_instance(path: str) -> Instance:
+def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return instance_from_json(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def read_instance(path: str) -> Instance:
+    return instance_from_json(_read_text(path))
 
 
 def read_solution(path: str) -> SolutionReport:
-    with open(path, encoding="utf-8") as fh:
-        return solution_from_json(fh.read())
+    return solution_from_json(_read_text(path))
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -204,7 +204,13 @@ class IlpModel:
 
     @property
     def num_constraints(self) -> int:
-        return len(self.cuts) + self.num_vertices * (self.grades - 1)
+        """Cut rows plus ladder rows, without building the cuts: a grade
+        demanded by c >= 2 terminals has a row for each of the 2^n - 2^(n-c+1)
+        subsets holding some but not all of them."""
+        n = self.num_vertices
+        counts = (mask.bit_count() for mask in self.demand_masks)
+        cut_rows = sum((1 << n) - (1 << (n - c + 1)) for c in counts if c >= 2)
+        return cut_rows + n * (self.grades - 1)
 
 
 def _cut_boundaries(model: IlpModel) -> Iterator[tuple[int, int, int]]:
@@ -307,9 +313,6 @@ class IlpSolution:
 
     assignment: GradeAssignment
     objective: Cost
-
-    def indicator(self, v: int, grade: int) -> int:
-        return 1 if self.assignment[v] >= grade else 0
 
 
 def model_point_feasible(model: IlpModel, y: Sequence[int]) -> bool:

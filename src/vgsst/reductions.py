@@ -89,63 +89,49 @@ def reduce_to_dst(instance: Instance) -> DstInstance:
 def brute_force_dst(dst: DstInstance, cap: int = 14) -> Cost:
     """Exact minimum-cost arborescence reaching every terminal from the root.
 
-    Dynamic program over terminal subsets on top of all-pairs shortest
-    paths; exhausts every way of splitting the terminal set, so it is an
-    exact oracle. Intended for equivalence tests only.
+    Dreyfus-Wagner subset DP, growing each subset by one Dijkstra as
+    Erickson, Monma and Veinott do. ``dp[S][v]``, the cheapest arborescence
+    rooted at node v that reaches the terminals S, arcs priced at their
+    head, is the least of: 0 when S = {v}; dp[A][v] + dp[B][v] over splits
+    A + B = S; c(v, w) + dp[S][w] over arcs (v, w). This is exact, since an
+    optimal arborescence either is v alone, or branches at v into two
+    optimal parts that pay v's price once (on the arc into v), or leaves v
+    by one arc. A Dijkstra over the reversed arcs, seeded with the first two
+    terms, resolves the third. Intended for equivalence tests only.
     """
     if dst.num_nodes > cap:
         raise SizeCapError(f"arborescence oracle limited to {cap} nodes, got {dst.num_nodes}")
     n = dst.num_nodes
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for tail, head, cost in dst.arcs:
-        out[tail].append((head, cost))
-    for lst in out:
-        lst.sort()
+        into[head].append((tail, cost))
 
     INF = float("inf")
-
-    def dijkstra(source: int) -> list:
-        dist: list = [INF] * n
-        dist[source] = 0
-        heap = [(0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, c in out[u]:
-                nd = d + c
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return dist
-
-    sp = [dijkstra(v) for v in range(n)]
-    terms = dst.terminals
-    k = len(terms)
-    full = (1 << k) - 1
-    dp = [[INF] * n for _ in range(full + 1)]
-    for j, t in enumerate(terms):
-        for v in range(n):
-            dp[1 << j][v] = sp[v][t]
+    full = (1 << len(dst.terminals)) - 1
+    dp: list[list] = [[]] * (full + 1)
     for mask in range(1, full + 1):
+        label: list = [INF] * n
         if mask & (mask - 1) == 0:
-            continue
-        merged = dp[mask]
+            label[dst.terminals[mask.bit_length() - 1]] = 0
         low = mask & -mask
         sub = (mask - 1) & mask
         while sub:
             if sub & low:
-                rest = mask ^ sub
-                a, b = dp[sub], dp[rest]
-                for v in range(n):
-                    cand = a[v] + b[v]
-                    if cand < merged[v]:
-                        merged[v] = cand
+                for v, (a, b) in enumerate(zip(dp[sub], dp[mask ^ sub])):
+                    if a + b < label[v]:
+                        label[v] = a + b
             sub = (sub - 1) & mask
-        grown = [
-            min(sp[v][u] + merged[u] for u in range(n)) for v in range(n)
-        ]
-        dp[mask] = grown
+        heap = [(d, v) for v, d in enumerate(label) if d < INF]
+        heapq.heapify(heap)
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > label[u]:
+                continue
+            for v, c in into[u]:
+                if d + c < label[v]:
+                    label[v] = d + c
+                    heapq.heappush(heap, (d + c, v))
+        dp[mask] = label
     best = dp[full][dst.root]
     if best == INF:
         raise InternalInvariantError("terminals unreachable in the layered digraph")

@@ -401,8 +401,29 @@ def _set(path, value):
     return edit
 
 
-# (file to corrupt, edit, extra argv, environment). A corrupted solution is
-# checked by ``verify`` unless argv names another subcommand and its flags.
+#: Edit that puts a directory where the file was.
+DIRECTORY = "directory"
+
+
+def _corrupt(path, edit):
+    """Apply a MALFORMED edit to the JSON file at ``path``: bytes replace
+    the file, DIRECTORY replaces it by a directory, and anything else
+    edits the parsed document."""
+    if edit == DIRECTORY:
+        path.unlink()
+        path.mkdir()
+    elif isinstance(edit, bytes):
+        path.write_bytes(edit)
+    else:
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+
+
+# (file to corrupt, edit, extra argv, environment). A corrupted instance is
+# read by ``solve``, or by ``verify`` when argv is ["verify"]. A corrupted
+# solution is checked by ``verify`` unless argv names another subcommand
+# and its flags.
 MALFORMED = {
     "instance-edges-not-a-list": ("instance", _set(["edges"], 5), [], {}),
     "instance-terminals-not-a-list": ("instance", _set(["terminals"], {"vertex": 0}), [], {}),
@@ -411,6 +432,10 @@ MALFORMED = {
     "instance-infinite-cost-literal": ("instance", _set(["costs", 1, 0], float("inf")), [], {}),
     "instance-nan-cost": ("instance", _set(["costs", 1, 0], "NaN"), [], {}),
     "instance-snan-cost": ("instance", _set(["costs", 1, 0], "sNaN"), [], {}),
+    "instance-directory": ("instance", DIRECTORY, [], {}),
+    "instance-directory-verify": ("instance", DIRECTORY, ["verify"], {}),
+    "instance-not-utf8": ("instance", b'{"num_vertices": "\xff"}', [], {}),
+    "instance-nested-too-deeply": ("instance", b"[" * 100000 + b"]" * 100000, [], {}),
     "solution-short-tree-edge": ("solution", _set(["tree_edges"], [[1]]), [], {}),
     "solution-tree-edges-not-a-list": ("solution", _set(["tree_edges"], 3), [], {}),
     "solution-infinite-cost": ("solution", _set(["cost"], "Infinity"), [], {}),
@@ -420,6 +445,8 @@ MALFORMED = {
         "solution", _set(["assignment", 0], fig3_instance().grades + 1), [], {}
     ),
     "solution-short-assignment": ("solution", _set(["assignment"], [0]), [], {}),
+    "solution-directory": ("solution", DIRECTORY, [], {}),
+    "solution-not-utf8": ("solution", b"\xff\xfe", [], {}),
     "export-short-assignment": (
         "solution", _set(["assignment"], [0]), ["export", "--dot", "--solution"], {}
     ),
@@ -427,6 +454,12 @@ MALFORMED = {
     "bench-seed-env": (None, None, ["bench", "--count", "1"], {"VGSST_SEED": "abc"}),
     "solve-zero-jobs": (None, None, ["solve", "--jobs", "0"], {}),
     "gen-negative-eps": (None, None, ["gen", "--builtin", "fig2", "--eps", "-2"], {}),
+    "gen-nan-terminal-fraction": (
+        None, None, ["gen", "--random", "--terminal-fraction", "nan"], {}
+    ),
+    "gen-huge-terminal-fraction": (
+        None, None, ["gen", "--random", "--terminal-fraction", "1e308"], {}
+    ),
 }
 
 
@@ -438,15 +471,15 @@ def test_malformed_input_exits_2(capsys, fig3_file, tmp_path, monkeypatch, case)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     if target == "instance":
-        doc = json.loads(open(fig3_file).read())
-        edit(doc)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        argv = ["solve", str(bad), "-o", str(tmp_path / "out.json")]
+        bad.write_text(open(fig3_file).read())
+        _corrupt(bad, edit)
+        if argv == ["verify"]:
+            argv = ["verify", str(bad), str(sol_path)]
+        else:
+            argv = ["solve", str(bad), "-o", str(tmp_path / "out.json")]
     elif target == "solution":
-        doc = json.loads(sol_path.read_text())
-        edit(doc)
-        sol_path.write_text(json.dumps(doc))
+        _corrupt(sol_path, edit)
         argv = argv or ["verify"]
         argv = argv[:1] + [fig3_file] + argv[1:] + [str(sol_path)]
     elif argv[0] == "solve":

@@ -343,7 +343,8 @@ MODEL_RUNGS = ((7, 3), (8, 3), (9, 2), (10, 2), (11, 2), (12, 1), (12, 2))
 def test_models_match_pinned_rows_lp_and_optima():
     # Each entry pins, for random_instance(n, L, seed, edge_prob=0.4,
     # terminal_fraction=0.4): the cut row count, the sha256 of the LP
-    # text, and the enumerated optimum's assignment and objective.
+    # text, and the enumerated optimum's assignment and objective. The
+    # closed-form constraint count must match the rows actually built.
     with open(GOLDEN_MODELS, encoding="utf-8") as fh:
         golden = json.load(fh)
     cases = [(n, levels, seed) for n, levels in MODEL_RUNGS for seed in (1, 2)]
@@ -358,3 +359,4 @@ def test_models_match_pinned_rows_lp_and_optima():
             "assignment": list(solution.assignment),
             "objective": solution.objective.as_decimal_str(),
         } == expected, (n, levels, seed)
+        assert model.num_constraints == len(model.cuts) + n * (levels - 1)

@@ -9,6 +9,7 @@ from vgsst import (
     Cost,
     InputError,
     Instance,
+    SizeCapError,
     brute_force_dst,
     brute_force_optimum,
     check_grt,
@@ -71,6 +72,8 @@ def test_reduction_single_vertex():
 def test_arborescence_matches_assignment_oracle_on_builtin(fig3):
     dst = reduce_to_dst(fig3)
     assert brute_force_dst(dst, cap=16) == brute_force_optimum(fig3).total_cost
+    with pytest.raises(SizeCapError, match="limited to 15 nodes, got 16"):
+        brute_force_dst(dst, cap=15)
 
 
 def test_arborescence_zero_cost_instance():
@@ -85,10 +88,11 @@ def test_arborescence_hub_chain():
 
 
 def test_arborescence_matches_oracle_on_corpus():
-    for inst in mixed_corpus(30, seed0=8100, max_n=7, max_levels=2):
+    # Three grades give two layers of down-arcs; up to 21 layered nodes.
+    for inst in mixed_corpus(30, seed0=8100, max_n=7, max_levels=3):
         dst = reduce_to_dst(inst)
         assert dst.num_nodes == inst.num_vertices * inst.grades
-        assert brute_force_dst(dst) == brute_force_optimum(inst).total_cost
+        assert brute_force_dst(dst, cap=dst.num_nodes) == brute_force_optimum(inst).total_cost
 
 
 # ---------------------------------------------------------------------------
