@@ -8,7 +8,6 @@ through floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -20,8 +19,55 @@ class CostPrecisionError(ValueError):
     """Raised for cost inputs that do not fit the 10^-6 grid."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Cost:
+class _Record:
+    """Base of the package's immutable records.
+
+    A record's fields are the parameters of its ``__init__``, in order;
+    the ``__init__`` stores them in the instance ``__dict__`` (or, for a
+    slotted record, through ``object.__setattr__``), since assignment and
+    deletion raise. Equality holds between records of one class with
+    equal keys; the key is every field unless a record overrides
+    :meth:`_key`. Hashing reads the same key, the repr lists every
+    field, and pickling and copying rebuild the record through its
+    ``__init__``. Being plain classes, the records generate no code at
+    import time.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    _key = _values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Cost(_Record):
     """A non-negative exact cost value, stored in millionths.
 
     Supports addition, subtraction (clamped errors rather than silent
@@ -29,13 +75,32 @@ class Cost:
     :meth:`parse` (str/int/Decimal) or :meth:`from_micros`.
     """
 
-    micros: int
+    __slots__ = ("micros",)
 
-    def __post_init__(self):
-        if not isinstance(self.micros, int):
-            raise TypeError(f"micros must be int, got {type(self.micros).__name__}")
-        if self.micros < 0:
-            raise ValueError(f"cost cannot be negative: {self.micros} micros")
+    def __init__(self, micros: int):
+        if not isinstance(micros, int):
+            raise TypeError(f"micros must be int, got {type(micros).__name__}")
+        if micros < 0:
+            raise ValueError(f"cost cannot be negative: {micros} micros")
+        object.__setattr__(self, "micros", micros)
+
+    def __eq__(self, other):
+        return self.micros == other.micros if other.__class__ is Cost else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.micros)
+
+    def __lt__(self, other):
+        return self.micros < other.micros if other.__class__ is Cost else NotImplemented
+
+    def __le__(self, other):
+        return self.micros <= other.micros if other.__class__ is Cost else NotImplemented
+
+    def __gt__(self, other):
+        return self.micros > other.micros if other.__class__ is Cost else NotImplemented
+
+    def __ge__(self, other):
+        return self.micros >= other.micros if other.__class__ is Cost else NotImplemented
 
     @staticmethod
     def zero() -> "Cost":

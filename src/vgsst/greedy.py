@@ -30,10 +30,9 @@ rising.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .costs import Cost, ratio
+from .costs import Cost, _Record, ratio
 from .instance import (
     GradeAssignment,
     InfeasibleAssignmentError,
@@ -52,18 +51,19 @@ class StaleCandidateError(InternalInvariantError):
     """A merge candidate was applied after the forest had already changed."""
 
 
-@dataclass(frozen=True)
-class GradedDistanceRow:
+class GradedDistanceRow(_Record):
     """Single-source shortest paths under one grade's upgrade weights.
 
     Distances exclude the weights of both endpoints; ``preds`` allows path
     reconstruction. Entries are exact micro counts.
     """
 
-    source: int
-    grade: int
-    interior_micros: tuple[int, ...]
-    preds: tuple[int, ...]
+    def __init__(
+        self, source: int, grade: int, interior_micros: tuple[int, ...], preds: tuple[int, ...]
+    ):
+        self.__dict__.update(
+            source=source, grade=grade, interior_micros=interior_micros, preds=preds
+        )
 
     def distance_to(self, v: int) -> Cost:
         return Cost.from_micros(self.interior_micros[v])
@@ -79,21 +79,21 @@ class GradedDistanceRow:
         return tuple(reversed(path))
 
 
-@dataclass(frozen=True)
-class MergeCandidate:
+class MergeCandidate(_Record):
     """One legal merge with its exact ratio and reconstructed paths.
 
     ``leg_paths[k]`` runs from the center to ``subset_roots[k]``.
     """
 
-    root: int
-    center: int
-    grade: int
-    subset_roots: tuple[int, ...]
-    gamma: Fraction
-    root_path: tuple[int, ...]
-    leg_paths: tuple[tuple[int, ...], ...]
-    forest_version: int
+    def __init__(
+        self, root: int, center: int, grade: int, subset_roots: tuple[int, ...],
+        gamma: Fraction, root_path: tuple[int, ...], leg_paths: tuple[tuple[int, ...], ...],
+        forest_version: int,
+    ):
+        self.__dict__.update(
+            root=root, center=center, grade=grade, subset_roots=subset_roots, gamma=gamma,
+            root_path=root_path, leg_paths=leg_paths, forest_version=forest_version,
+        )
 
     @property
     def merged_count(self) -> int:

@@ -10,11 +10,10 @@ grade covers the lower of the two requirements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .costs import Cost
+from .costs import Cost, _Record
 
 GradeAssignment = tuple[int, ...]
 Edge = tuple[int, int]
@@ -48,8 +47,7 @@ def canon_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Record):
     """An immutable problem instance.
 
     num_vertices: vertices are ids 0..n-1.
@@ -57,13 +55,18 @@ class Instance:
     grades: number of service grades, >= 1.
     required: terminal -> required grade in {1..grades}.
     costs: per vertex, a ladder (c_1, ..., c_grades) of Cost values.
+
+    ``adjacency`` and ``terminals`` are computed on first access and kept
+    outside equality.
     """
 
-    num_vertices: int
-    edges: tuple[Edge, ...]
-    grades: int
-    required: Mapping[int, int]
-    costs: tuple[tuple[Cost, ...], ...]
+    def __init__(
+        self, num_vertices: int, edges: tuple[Edge, ...], grades: int,
+        required: Mapping[int, int], costs: tuple[tuple[Cost, ...], ...],
+    ):
+        self.__dict__.update(
+            num_vertices=num_vertices, edges=edges, grades=grades, required=required, costs=costs
+        )
 
     @staticmethod
     def build(
@@ -121,13 +124,11 @@ class Instance:
         return self.costs[v][grade - 1]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One broken instance invariant, naming the offending element."""
 
-    rule: str
-    subject: object
-    detail: str
+    def __init__(self, rule: str, subject: object, detail: str):
+        self.__dict__.update(rule=rule, subject=subject, detail=detail)
 
     def __str__(self) -> str:
         return f"{self.rule} at {self.subject}: {self.detail}"
@@ -247,8 +248,7 @@ def assert_valid(instance: Instance, structural_only: bool = False) -> None:
 # Normalisation
 
 
-@dataclass(frozen=True)
-class NormalizeResult:
+class NormalizeResult(_Record):
     """Outcome of :func:`normalize`.
 
     offset is the fixed cost every solution of the original instance pays
@@ -257,9 +257,8 @@ class NormalizeResult:
     terminal that was rewired to its zero-cost replacement vertex.
     """
 
-    instance: Instance
-    offset: Cost
-    moved: Mapping[int, int]
+    def __init__(self, instance: Instance, offset: Cost, moved: Mapping[int, int]):
+        self.__dict__.update(instance=instance, offset=offset, moved=moved)
 
 
 def normalize(instance: Instance) -> NormalizeResult:
@@ -343,16 +342,18 @@ def denormalize_solution(
 # Edge-cost elimination
 
 
-@dataclass(frozen=True)
-class EdgeWeightedInstance:
+class EdgeWeightedInstance(_Record):
     """An instance variant whose edges also carry cost ladders."""
 
-    num_vertices: int
-    edges: tuple[Edge, ...]
-    grades: int
-    required: Mapping[int, int]
-    vertex_costs: tuple[tuple[Cost, ...], ...]
-    edge_costs: Mapping[Edge, tuple[Cost, ...]]
+    def __init__(
+        self, num_vertices: int, edges: tuple[Edge, ...], grades: int,
+        required: Mapping[int, int], vertex_costs: tuple[tuple[Cost, ...], ...],
+        edge_costs: Mapping[Edge, tuple[Cost, ...]],
+    ):
+        self.__dict__.update(
+            num_vertices=num_vertices, edges=edges, grades=grades, required=required,
+            vertex_costs=vertex_costs, edge_costs=edge_costs,
+        )
 
 
 def edge_costs_to_vertex_costs(problem: EdgeWeightedInstance) -> Instance:
@@ -384,8 +385,7 @@ def edge_costs_to_vertex_costs(problem: EdgeWeightedInstance) -> Instance:
 # Feasibility and cost
 
 
-@dataclass(frozen=True)
-class FeasibilityWitness:
+class FeasibilityWitness(_Record):
     """Why an assignment is infeasible.
 
     kind "requirement": ``vertex`` is a terminal with y below its demand.
@@ -394,10 +394,11 @@ class FeasibilityWitness:
     smallest such pair).
     """
 
-    kind: str
-    vertex: int | None = None
-    grade: int | None = None
-    pair: Edge | None = None
+    def __init__(
+        self, kind: str, vertex: int | None = None, grade: int | None = None,
+        pair: Edge | None = None,
+    ):
+        self.__dict__.update(kind=kind, vertex=vertex, grade=grade, pair=pair)
 
 
 def _check_assignment(instance: Instance, y: GradeAssignment) -> None:
@@ -546,29 +547,35 @@ def extract_tree(instance: Instance, y: GradeAssignment) -> tuple[Edge, ...]:
 # Solution reports
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """Telemetry for one greedy merge."""
+class IterationRecord(_Record):
+    """Telemetry for one greedy merge; ``gamma`` is an exact Fraction."""
 
-    gamma: object  # exact Fraction
-    merged_count: int
-    incurred_cost: Cost
-    root: int
-    center: int
-    grade: int
-    subset_roots: tuple[int, ...]
+    def __init__(
+        self, gamma, merged_count: int, incurred_cost: Cost, root: int, center: int,
+        grade: int, subset_roots: tuple[int, ...],
+    ):
+        self.__dict__.update(
+            gamma=gamma, merged_count=merged_count, incurred_cost=incurred_cost, root=root,
+            center=center, grade=grade, subset_roots=subset_roots,
+        )
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(_Record):
     """A solved instance: assignment, explicit tree, exact cost, telemetry.
 
     grade_costs, when present, carries the per-grade spend of the layered
-    heuristic (in-memory only; not part of the solution file format).
+    heuristic (in-memory only; not part of the solution file format, nor
+    of equality and hashing).
     """
 
-    assignment: GradeAssignment
-    tree_edges: tuple[Edge, ...]
-    total_cost: Cost
-    iterations: tuple[IterationRecord, ...] = ()
-    grade_costs: tuple[Cost, ...] | None = field(default=None, compare=False)
+    def __init__(
+        self, assignment: GradeAssignment, tree_edges: tuple[Edge, ...], total_cost: Cost,
+        iterations: tuple[IterationRecord, ...] = (), grade_costs: tuple[Cost, ...] | None = None,
+    ):
+        self.__dict__.update(
+            assignment=assignment, tree_edges=tree_edges, total_cost=total_cost,
+            iterations=iterations, grade_costs=grade_costs,
+        )
+
+    def _key(self) -> tuple:
+        return self._values()[:4]

@@ -11,11 +11,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import Any
 
-from .costs import Cost, format_fraction, parse_fraction
+from .costs import Cost, _Record, format_fraction, parse_fraction
 from .instance import (
     GradeAssignment,
     InputError,
@@ -42,11 +41,11 @@ _ITERATION_FIELDS = {
 # Deterministic emitter (json.dumps cannot print exact decimal literals)
 
 
-@dataclass(frozen=True)
-class _Num:
+class _Num(_Record):
     """A number to emit verbatim."""
 
-    text: str
+    def __init__(self, text: str):
+        self.__dict__.update(text=text)
 
 
 def _emit(obj, indent: int) -> str:
@@ -103,21 +102,32 @@ def _require_fields(obj: dict, allowed: set[str], what: str) -> None:
         raise InputError(f"missing fields in {what}: {sorted(missing)}")
 
 
+# Parsed JSON value types; Infinity and NaN literals parse as float.
+_JSON_TYPES = {bool: "boolean", int: "integer", Decimal: "number", float: "number",
+               str: "string", list: "list", dict: "object", type(None): "null"}
+
+
+def _kind(value) -> str:
+    """The JSON type of ``value``, for error lines: the value itself may be huge."""
+    kind = _JSON_TYPES[type(value)]
+    return f"a JSON {kind}" + (f" of length {len(value)}" if kind == "list" else "")
+
+
 def _int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what} must be an integer, got {value!r}")
+        raise InputError(f"{what} must be an integer, got {_kind(value)}")
     return value
 
 
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
-        raise InputError(f"{what} must be a JSON list, got {value!r}")
+        raise InputError(f"{what} must be a JSON list, got {_kind(value)}")
     return value
 
 
 def _edge(value, what: str) -> tuple[int, int]:
     if not isinstance(value, list) or len(value) != 2:
-        raise InputError(f"{what} entries must be [u, v] pairs, got {value!r}")
+        raise InputError(f"{what} entries must be [u, v] pairs, got {_kind(value)}")
     return _int(value[0], f"{what} endpoint"), _int(value[1], f"{what} endpoint")
 
 

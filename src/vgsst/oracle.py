@@ -25,11 +25,10 @@ walk, unchanged.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .costs import Cost
+from .costs import Cost, _Record
 from .instance import (
     GradeAssignment,
     Instance,
@@ -152,18 +151,15 @@ def exact_vst(view: Instance) -> frozenset[int]:
 # Cut-based 0/1 model
 
 
-@dataclass(frozen=True)
-class CutRow:
+class CutRow(_Record):
     """One connectivity cut: some grade-``grade`` facility must sit in the
     neighborhood of the vertex set ``subset`` (stored as a bitmask)."""
 
-    grade: int
-    subset_mask: int
-    neighborhood: tuple[int, ...]
+    def __init__(self, grade: int, subset_mask: int, neighborhood: tuple[int, ...]):
+        self.__dict__.update(grade=grade, subset_mask=subset_mask, neighborhood=neighborhood)
 
 
-@dataclass(frozen=True)
-class IlpModel:
+class IlpModel(_Record):
     """Binary model over x[v][i] = "v carries a facility of grade >= i".
 
     Objective splits each ladder into increments so that a ladder-
@@ -176,11 +172,16 @@ class IlpModel:
     them; the cache takes no part in equality or hashing.
     """
 
-    num_vertices: int
-    grades: int
-    objective: tuple[tuple[Cost, ...], ...]  # [v][i-1] -> c_i(v) - c_{i-1}(v)
-    neighbor_masks: tuple[int, ...]  # [v] -> bitmask of v's neighbours
-    demand_masks: tuple[int, ...]  # [i-1] -> bitmask of terminals demanding >= i
+    def __init__(
+        self, num_vertices: int, grades: int,
+        objective: tuple[tuple[Cost, ...], ...],  # [v][i-1] -> c_i(v) - c_{i-1}(v)
+        neighbor_masks: tuple[int, ...],  # [v] -> bitmask of v's neighbours
+        demand_masks: tuple[int, ...],  # [i-1] -> bitmask of terminals demanding >= i
+    ):
+        self.__dict__.update(
+            num_vertices=num_vertices, grades=grades, objective=objective,
+            neighbor_masks=neighbor_masks, demand_masks=demand_masks,
+        )
 
     @cached_property
     def cuts(self) -> tuple[CutRow, ...]:
@@ -307,12 +308,11 @@ def export_lp(model: IlpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class IlpSolution:
+class IlpSolution(_Record):
     """Optimum of the 0/1 model: grades recovered from the indicators."""
 
-    assignment: GradeAssignment
-    objective: Cost
+    def __init__(self, assignment: GradeAssignment, objective: Cost):
+        self.__dict__.update(assignment=assignment, objective=objective)
 
 
 def model_point_feasible(model: IlpModel, y: Sequence[int]) -> bool:

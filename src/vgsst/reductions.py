@@ -12,10 +12,9 @@ the remainder, repeat.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .costs import Cost
+from .costs import Cost, _Record
 from .instance import (
     Edge,
     GradeAssignment,
@@ -30,8 +29,7 @@ from .instance import (
 # Directed Steiner arborescence reduction
 
 
-@dataclass(frozen=True)
-class DstInstance:
+class DstInstance(_Record):
     """Layered directed copy of an instance.
 
     Node (v, i) — vertex v at grade i — has id (i-1)*n + v. Each
@@ -41,12 +39,15 @@ class DstInstance:
     grade i (or better) on v.
     """
 
-    num_graph_vertices: int
-    grades: int
-    num_nodes: int
-    arcs: tuple[tuple[int, int, int], ...]  # (tail, head, cost micros)
-    root: int
-    terminals: tuple[int, ...]
+    def __init__(
+        self, num_graph_vertices: int, grades: int, num_nodes: int,
+        arcs: tuple[tuple[int, int, int], ...],  # (tail, head, cost micros)
+        root: int, terminals: tuple[int, ...],
+    ):
+        self.__dict__.update(
+            num_graph_vertices=num_graph_vertices, grades=grades, num_nodes=num_nodes,
+            arcs=arcs, root=root, terminals=terminals,
+        )
 
     def node(self, v: int, grade: int) -> int:
         return (grade - 1) * self.num_graph_vertices + v
@@ -245,8 +246,7 @@ def m_optimize(
 # Rooted spider decomposition
 
 
-@dataclass(frozen=True)
-class Spider:
+class Spider(_Record):
     """One rooted spider: a grade-respecting tree with a single branch point.
 
     ``root_path`` runs from the center to the root (a single vertex when
@@ -255,21 +255,21 @@ class Spider:
     marked vertices of the spider other than its root.
     """
 
-    root: int
-    center: int
-    root_path: tuple[int, ...]
-    legs: tuple[tuple[int, ...], ...]
-    members: frozenset[int]
-    feet: tuple[int, ...]
+    def __init__(
+        self, root: int, center: int, root_path: tuple[int, ...],
+        legs: tuple[tuple[int, ...], ...], members: frozenset[int], feet: tuple[int, ...],
+    ):
+        self.__dict__.update(
+            root=root, center=center, root_path=root_path, legs=legs, members=members, feet=feet
+        )
 
 
-@dataclass(frozen=True)
-class RootedSpiderDecomposition:
+class RootedSpiderDecomposition(_Record):
     """Vertex-disjoint rooted spiders covering a marked set, plus the
     grades in force when each spider was carved off."""
 
-    spiders: tuple[Spider, ...]
-    grades: GradeAssignment
+    def __init__(self, spiders: tuple[Spider, ...], grades: GradeAssignment):
+        self.__dict__.update(spiders=spiders, grades=grades)
 
 
 def _assert_spider_shape(children: dict[int, list[int]], center: int, nodes: set[int]):

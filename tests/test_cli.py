@@ -436,6 +436,8 @@ MALFORMED = {
     "instance-directory-verify": ("instance", DIRECTORY, ["verify"], {}),
     "instance-not-utf8": ("instance", b'{"num_vertices": "\xff"}', [], {}),
     "instance-nested-too-deeply": ("instance", b"[" * 100000 + b"]" * 100000, [], {}),
+    "instance-infinite-vertex-count": ("instance", _set(["num_vertices"], float("inf")), [], {}),
+    "instance-null-grades": ("instance", _set(["grades"], None), [], {}),
     "solution-short-tree-edge": ("solution", _set(["tree_edges"], [[1]]), [], {}),
     "solution-tree-edges-not-a-list": ("solution", _set(["tree_edges"], 3), [], {}),
     "solution-infinite-cost": ("solution", _set(["cost"], "Infinity"), [], {}),
@@ -488,6 +490,18 @@ def test_malformed_input_exits_2(capsys, fig3_file, tmp_path, monkeypatch, case)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_nested_value_gives_a_short_error_line(capsys, fig3_file, tmp_path):
+    sol = tmp_path / "sol.json"
+    run(capsys, "solve", fig3_file, "-o", str(sol))
+    nested = 0
+    for _ in range(800):
+        nested = [nested]
+    _corrupt(sol, _set(["assignment", 0], nested))
+    code, _, err = run(capsys, "verify", fig3_file, str(sol))
+    assert code == 2
+    assert err == "error: assignment entry must be an integer, got a JSON list of length 1\n"
 
 
 def test_jobs_are_clamped(capsys, tmp_path, monkeypatch):
@@ -584,6 +598,26 @@ def test_subcommands_load_only_what_they_run(fig3_file, tmp_path):
     assert {"vgsst.oracle", "vgsst.reductions"} <= set(verify)
     for name in ("vgsst.greedy", "vgsst.heuristics", "vgsst.generators", "concurrent.futures"):
         assert name not in verify
+
+
+# Runs the CLI as ``python -m vgsst.cli`` does, then prints a last line
+# naming which of dataclasses and inspect it loaded.
+_HEAVY_BY_CLI = """
+import runpy, sys
+sys.argv = ["vgsst", *sys.argv[1:]]
+try:
+    runpy.run_module("vgsst.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print("loaded:", *sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+def test_cli_calls_load_no_dataclasses_or_inspect(fig3_file, tmp_path):
+    sol = str(tmp_path / "s.json")
+    for argv in (["solve", fig3_file, "-o", sol], ["verify", fig3_file, sol]):
+        out = _fresh_python("-c", _HEAVY_BY_CLI, *argv).stdout
+        assert out.splitlines()[-1] == "loaded:", argv
 
 
 def test_lazy_exports_resolve_to_their_modules():
