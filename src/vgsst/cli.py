@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from .costs import Cost, CostPrecisionError
@@ -51,7 +52,11 @@ _ALGORITHMS = ("greedy", "topdown", "bottomup", "exact")
 def _ratio_text(cost: Cost, optimum: Cost) -> str:
     if optimum.micros == 0:
         return "1.0" if cost.micros == 0 else "infinite"
-    value = float(Fraction(cost.micros, optimum.micros))
+    exact = Fraction(cost.micros, optimum.micros)
+    try:
+        value = float(exact)
+    except OverflowError:  # beyond float range: six significant digits, as ".6g" prints
+        return f"{(Decimal(exact.numerator) / exact.denominator).normalize(Context(prec=6)):g}"
     return f"{value:.1f}" if value == int(value) else f"{value:.6g}"
 
 
@@ -240,9 +245,8 @@ def _tree_failures(instance: Instance, report: SolutionReport) -> list[str]:
         ]
     tree_masks = _edge_masks(instance.num_vertices, report.tree_edges)
     failures = []
-    for grade in range(1, instance.grades + 1):
+    for grade, need in enumerate(instance._demand_masks, start=1):
         level = sum(1 << v for v, g in enumerate(y) if g >= grade)
-        need = sum(1 << t for t, r in instance.required.items() if r >= grade)
         if grade == 1:
             need |= support
         if not need:

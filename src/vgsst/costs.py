@@ -8,11 +8,15 @@ through floating point.
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation
+from decimal import Context, Decimal, Inexact, InvalidOperation
 from fractions import Fraction
 
 #: Denominator of the cost grid. Inputs with finer precision are rejected.
 COST_SCALE = 10**6
+
+#: Parsed costs stay below 10**_COST_DIGITS (see Cost.parse).
+_COST_DIGITS = 1000
+_COST_BOUND = 10**_COST_DIGITS
 
 
 class CostPrecisionError(ValueError):
@@ -116,13 +120,18 @@ class Cost(_Record):
 
         Floats are rejected: their binary representation does not identify
         a unique point on the 10^-6 grid. Values with more than six
-        fractional digits are rejected rather than rounded.
+        fractional digits are rejected rather than rounded, and so are
+        values of 10^1000 or more: the sums and ratios of any instance's
+        costs then stay far inside the 4300 digits that Python converts
+        between int and text.
         """
         if isinstance(value, Cost):
             return value
         if isinstance(value, bool):
             raise TypeError("bool is not a cost")
         if isinstance(value, int):
+            if value >= _COST_BOUND:
+                raise CostPrecisionError(f"cost is 10^{_COST_DIGITS} or more")
             return Cost(value * COST_SCALE)
         if isinstance(value, float):
             raise TypeError(
@@ -136,8 +145,11 @@ class Cost(_Record):
         if isinstance(value, Decimal):
             if not value.is_finite():
                 raise CostPrecisionError(f"cost {value} is not a finite number")
-            scaled = value * COST_SCALE
-            if scaled != scaled.to_integral_value():
+            if value and value.adjusted() >= _COST_DIGITS:
+                raise CostPrecisionError(f"cost is 10^{_COST_DIGITS} or more")
+            exact = Context(prec=_COST_DIGITS + 6)  # holds every grid value below the bound
+            scaled = exact.multiply(value, COST_SCALE)
+            if exact.flags[Inexact] or scaled != scaled.to_integral_value():
                 raise CostPrecisionError(
                     f"cost {value} has more than 6 fractional digits"
                 )

@@ -13,10 +13,10 @@ vertex, upgrading grades along the connecting paths. Terminates when a
 single tree remains; the cost is within 2*ln(#terminals) of optimal.
 
 The distances come from per-(root, grade) rows of plain integers that
-live on the forest across rounds: the first scan fills them by Dijkstra,
-and each merge, which only ever lowers weights, repairs them in place.
-Only the winner's paths are rebuilt by a fresh Dijkstra, which also
-checks the rows it reads.
+live on the forest across rounds. One Dijkstra loop, ``_settle``, both
+fills them in the first scan and repairs them in place after each merge,
+which only ever lowers weights. Only the winner's paths are rebuilt by a
+fresh Dijkstra, which also checks the rows it reads.
 
 Each round's scan reads the rows as columns, one per center, and sorts
 the roots by distance once per center for every grade. The best subset
@@ -145,9 +145,7 @@ def init_forest(instance: Instance) -> GrtForest:
     return GrtForest(instance)
 
 
-def graded_shortest_paths(
-    forest: GrtForest, source: int, grade: int
-) -> GradedDistanceRow:
+def graded_shortest_paths(forest: GrtForest, source: int, grade: int) -> GradedDistanceRow:
     """Dijkstra over vertex weights for one grade, endpoint costs excluded.
 
     Ties settle by vertex id, so predecessor chains are reproducible.
@@ -158,54 +156,40 @@ def graded_shortest_paths(
     if not 1 <= grade <= forest.instance.grades:
         raise InputError(f"grade {grade} out of range")
     w = [ladder[grade - 1] for ladder in forest.w]
-    adjacency = forest.instance.adjacency
-    INF = float("inf")
-    dist: list = [INF] * n  # path weight excluding source, including target
+    w[source] = 0
+    row: list = [float("inf")] * n
+    row[source] = 0
     preds = [-1] * n
-    dist[source] = 0
-    heap: list[tuple[int, int]] = [(0, source)]
+    _settle(row, w, forest.instance.adjacency, [(0, source)], preds)
+    if float("inf") in row:
+        raise InternalInvariantError("graph must be connected")
+    return GradedDistanceRow(source, grade, tuple(row), tuple(preds))
+
+
+def _settle(row: list, w: list[int], adjacency, heap: list, preds: list | None = None) -> None:
+    """The greedy's one Dijkstra: lower the interior distances ``row`` in place
+    from the labels ``row[u] + w[u]`` (path weight, source excluded) in ``heap``.
+
+    Improvements are strict and equal labels pop by vertex id, so ``preds``
+    is reproducible. The fill seeds the source, on an all-infinite row with
+    the source's entry and weight at 0. A merge only lowers weights, and the
+    repair seeds the vertices whose weight fell: the first vertex on a new
+    shortest path whose entry is still too high has a correct predecessor,
+    whose label either fell, so it was seeded or pushed, or did not, so the
+    old entry was already right.
+    """
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         d, u = pop(heap)
-        if d > dist[u]:
-            continue
-        for v in adjacency[u]:
-            # A settled v has dist[v] <= d, so it is never lowered here.
-            cand = d + w[v]
-            if cand < dist[v]:
-                dist[v] = cand
-                preds[v] = u
-                push(heap, (cand, v))
-    if INF in dist:
-        raise InternalInvariantError("graph must be connected")
-    interior = [d - x for d, x in zip(dist, w)]
-    interior[source] = 0
-    return GradedDistanceRow(
-        source=source, grade=grade, interior_micros=tuple(interior), preds=tuple(preds)
-    )
-
-
-def _repair_row(row: list[int], source: int, w: list[int], adjacency, changed) -> None:
-    """Lower ``row`` in place after the weights ``w`` of ``changed`` fell.
-
-    A Dijkstra over labels ``row[v] + w[v]`` seeded at the changed
-    vertices that only ever decreases entries. It is exact because weights
-    never rise: the first vertex on a new shortest path whose entry is
-    still too high has a correct predecessor, whose label either fell
-    (its weight changed, so it was seeded, or its entry fell, so it was
-    pushed) or did not (then the old entry was already right).
-    """
-    heap = [(row[v] + w[v], v) for v in changed if v != source]
-    heapq.heapify(heap)
-    while heap:
-        d, u = heapq.heappop(heap)
         if d != row[u] + w[u]:
             continue
         for x in adjacency[u]:
             # row[source] is 0, so the source is never lowered.
             if d < row[x]:
                 row[x] = d
-                heapq.heappush(heap, (d + w[x], x))
+                if preds is not None:
+                    preds[x] = u
+                push(heap, (d + w[x], x))
 
 
 def _winner_path(forest: GrtForest, source: int, grade: int, center: int):
@@ -411,7 +395,10 @@ def apply_merge(forest: GrtForest, candidate: MergeCandidate) -> IterationRecord
     columns = {g: [ladder[g - 1] for ladder in forest.w] for g in changed}
     for (source, g), row in forest.rows.items():
         if g in changed:
-            _repair_row(row, source, columns[g], instance.adjacency, changed[g])
+            w = columns[g]
+            heap = [(row[v] + w[v], v) for v in changed[g] if v != source]
+            heapq.heapify(heap)
+            _settle(row, w, instance.adjacency, heap)
 
     record = IterationRecord(
         gamma=candidate.gamma,

@@ -153,7 +153,7 @@ def solve_bottomup(instance: Instance, vst: VstSubroutine) -> SolutionReport:
     _check_vst_result(view, result)
 
     indicator = [1 if v in result else 0 for v in range(instance.num_vertices)]
-    edges = spanning_tree_by_levels(instance, indicator, allowed=result)
+    edges = spanning_tree_by_levels(instance, indicator)
     root = min(v for v in instance.terminals if instance.required[v] == instance.grades)
 
     # Highest requirement in each subtree; -1 marks a terminal-free branch.

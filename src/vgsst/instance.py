@@ -56,8 +56,8 @@ class Instance(_Record):
     required: terminal -> required grade in {1..grades}.
     costs: per vertex, a ladder (c_1, ..., c_grades) of Cost values.
 
-    ``adjacency`` and ``terminals`` are computed on first access and kept
-    outside equality.
+    ``adjacency``, ``terminals`` and ``_demand_masks`` are computed on
+    first access and kept outside equality.
     """
 
     def __init__(
@@ -116,6 +116,12 @@ class Instance(_Record):
     @cached_property
     def terminals(self) -> tuple[int, ...]:
         return tuple(sorted(self.required))
+
+    @cached_property
+    def _demand_masks(self) -> tuple[int, ...]:
+        """``[i - 1]``: bitmask of the terminals demanding grade i or more."""
+        req = self.required.items()
+        return tuple(sum(1 << t for t, r in req if r >= i) for i in range(1, self.grades + 1))
 
     def cost_of(self, v: int, grade: int) -> Cost:
         """c_grade(v) with grade 0 defined as free."""
@@ -427,19 +433,18 @@ def check_feasible(
             return False, FeasibilityWitness(kind="requirement", vertex=v)
 
     adj_masks = _edge_masks(instance.num_vertices, instance.edges)
-    for grade in range(1, instance.grades + 1):
-        needed = [v for v in instance.terminals if instance.required[v] >= grade]
-        if len(needed) < 2:
+    for grade, need in enumerate(instance._demand_masks, start=1):
+        if need.bit_count() < 2:
             continue
         level = sum(1 << v for v, g in enumerate(y) if g >= grade)
-        reached = _reach(adj_masks, level, needed[0])
+        start = (need & -need).bit_length() - 1
         # Every needed terminal is in the level set, so the lexicographically
-        # smallest separated pair starts at needed[0].
-        for b in needed[1:]:
-            if not reached >> b & 1:
-                return False, FeasibilityWitness(
-                    kind="disconnected", grade=grade, pair=(needed[0], b)
-                )
+        # smallest separated pair starts at the smallest needed terminal.
+        apart = need & ~_reach(adj_masks, level, start)
+        if apart:
+            return False, FeasibilityWitness(
+                kind="disconnected", grade=grade, pair=(start, (apart & -apart).bit_length() - 1)
+            )
     return True, None
 
 
@@ -458,11 +463,11 @@ def feasibility_tester(instance: Instance):
     n = instance.num_vertices
     adj_masks = _edge_masks(n, instance.edges)
     floors = [(v, instance.required[v]) for v in instance.terminals]
-    grade_needs: list[tuple[int, int, int]] = []  # (grade, need_mask, start vertex)
-    for grade in range(instance.grades, 0, -1):
-        needed = [v for v in instance.terminals if instance.required[v] >= grade]
-        if len(needed) >= 2:
-            grade_needs.append((grade, sum(1 << v for v in needed), needed[0]))
+    grade_needs = [  # (grade, need mask, start vertex), top grade first
+        (grade, need, (need & -need).bit_length() - 1)
+        for grade, need in reversed(list(enumerate(instance._demand_masks, start=1)))
+        if need.bit_count() >= 2
+    ]
 
     def violated(y: Sequence[int]) -> int | None:
         for v, r in floors:
@@ -501,9 +506,7 @@ def solution_cost(instance: Instance, y: GradeAssignment) -> Cost:
 # Tree extraction
 
 
-def spanning_tree_by_levels(
-    instance: Instance, y: Sequence[int], allowed: Iterable[int] | None = None
-) -> list[Edge]:
+def spanning_tree_by_levels(instance: Instance, y: Sequence[int]) -> list[Edge]:
     """Grade-nested spanning forest of the bought vertices.
 
     Processes grades from the top down, joining components with edges whose
@@ -511,13 +514,10 @@ def spanning_tree_by_levels(
     endpoint order, so the result is reproducible. Any two vertices already
     connected inside a level set stay connected using only that level set.
     """
-    keep = set(allowed) if allowed is not None else None
     uf = _UnionFind(instance.num_vertices)
     chosen: list[Edge] = []
     for grade in range(instance.grades, 0, -1):
         for u, v in instance.edges:
-            if keep is not None and (u not in keep or v not in keep):
-                continue
             if y[u] >= grade and y[v] >= grade and uf.union(u, v):
                 chosen.append((u, v))
     return chosen

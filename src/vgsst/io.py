@@ -85,7 +85,7 @@ def _cost_num(c: Cost) -> _Num:
 def _loads(text: str) -> Any:
     try:
         return json.loads(text, parse_float=Decimal)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error, or an integer of over 4300 digits
         raise InputError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise InputError("invalid JSON: nested too deeply") from exc

@@ -252,10 +252,6 @@ def build_ilp(instance: Instance, limit: int = 15) -> IlpModel:
     n = instance.num_vertices
     if n > limit:
         raise SizeCapError(f"cut enumeration limited to {limit} vertices, got {n}")
-    demand_masks = tuple(
-        sum(1 << t for t in instance.terminals if instance.required[t] >= grade)
-        for grade in range(1, instance.grades + 1)
-    )
     objective = tuple(
         tuple(
             instance.cost_of(v, i) - instance.cost_of(v, i - 1)
@@ -268,7 +264,7 @@ def build_ilp(instance: Instance, limit: int = 15) -> IlpModel:
         grades=instance.grades,
         objective=objective,
         neighbor_masks=tuple(_edge_masks(n, instance.edges)),
-        demand_masks=demand_masks,
+        demand_masks=instance._demand_masks,
     )
 
 

@@ -313,6 +313,25 @@ def test_verify_zero_cost_ratio(capsys, tmp_path):
     assert "ratio 1.0" in out
 
 
+def test_verify_prints_a_ratio_beyond_float_range(capsys, tmp_path):
+    # The path 0-1-2 plus a pendant vertex 3 off 1 that costs 1e400; buying
+    # it too makes the ratio 10^400 + 1, which no float holds.
+    inst = tmp_path / "huge.json"
+    inst.write_text(
+        '{"num_vertices": 4, "grades": 1, "edges": [[0, 1], [1, 2], [1, 3]],'
+        ' "terminals": [{"vertex": 0, "required": 1}, {"vertex": 2, "required": 1}],'
+        ' "costs": [[0], [1], [0], [1e400]]}'
+    )
+    sol = tmp_path / "s.json"
+    sol.write_text(
+        '{"assignment": [1, 1, 1, 1], "tree_edges": [[0, 1], [1, 2], [1, 3]],'
+        f' "cost": 1{"0" * 399}1, "iterations": []}}'
+    )
+    code, out, err = run(capsys, "verify", str(inst), str(sol))
+    assert (code, err) == (0, "")
+    assert out == f"PASS: cost 1{'0' * 399}1, ratio 1e+400\n"
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -405,6 +424,12 @@ def _set(path, value):
 DIRECTORY = "directory"
 
 
+def _fig3_with_cost(literal):
+    """fig3's instance file with vertex 1's top cost written as ``literal``."""
+    text = instance_to_json(fig3_instance())
+    return text.replace("[7, 14]", f"[7, {literal}]").encode()
+
+
 def _corrupt(path, edit):
     """Apply a MALFORMED edit to the JSON file at ``path``: bytes replace
     the file, DIRECTORY replaces it by a directory, and anything else
@@ -432,6 +457,9 @@ MALFORMED = {
     "instance-infinite-cost-literal": ("instance", _set(["costs", 1, 0], float("inf")), [], {}),
     "instance-nan-cost": ("instance", _set(["costs", 1, 0], "NaN"), [], {}),
     "instance-snan-cost": ("instance", _set(["costs", 1, 0], "sNaN"), [], {}),
+    "instance-cost-beyond-decimal-range": ("instance", _fig3_with_cost("1e1000000"), [], {}),
+    "instance-cost-beyond-printable-ints": ("instance", _fig3_with_cost("1e5000"), [], {}),
+    "instance-integer-beyond-4300-digits": ("instance", _fig3_with_cost("1" * 5000), [], {}),
     "instance-directory": ("instance", DIRECTORY, [], {}),
     "instance-directory-verify": ("instance", DIRECTORY, ["verify"], {}),
     "instance-not-utf8": ("instance", b'{"num_vertices": "\xff"}', [], {}),

@@ -19,6 +19,26 @@ def test_parse_rejects_extra_precision():
         Cost.parse("0.1234567")
     with pytest.raises(CostPrecisionError):
         Cost.parse(Decimal("1e-7"))
+    # A seventh fractional digit far behind the leading one is not rounded away.
+    with pytest.raises(CostPrecisionError):
+        Cost.parse("1." + "0" * 3000 + "1")
+
+
+def test_parse_is_exact_beyond_28_digits():
+    assert Cost.parse("1234567890123456789012345678.1").micros == 1234567890123456789012345678_100000
+    assert Cost.parse("1" + "0" * 399 + "1").micros == (10**400 + 1) * 10**6
+    assert Cost.parse("1." + "0" * 3000).micros == 1_000_000
+    assert Cost.parse("9.99e999").micros == 999 * 10**1003
+
+
+@pytest.mark.parametrize(
+    "value",
+    [10**1000, "1e1000", Decimal("1e1000000"), "-1e5000"],
+    ids=["int", "string", "beyond-decimal-range", "negative"],
+)
+def test_parse_rejects_costs_of_1e1000_or_more(value):
+    with pytest.raises(CostPrecisionError, match="10\\^1000 or more"):
+        Cost.parse(value)
 
 
 @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "sNaN", Decimal("Infinity")])

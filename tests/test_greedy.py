@@ -1,5 +1,6 @@
 """Merge solver: worked-example trace, candidate search, invariants."""
 
+import heapq
 import json
 import math
 import os
@@ -304,7 +305,7 @@ def test_every_intermediate_tree_is_grade_respecting():
             apply_merge(forest, select_global_candidate(forest))
             for root, members in forest.trees.items():
                 edges = spanning_tree_by_levels(
-                    inst, forest.y, allowed=members
+                    inst, [y if v in members else 0 for v, y in enumerate(forest.y)]
                 )
                 assert len(edges) == len(members) - 1
                 ok, path = check_grt(inst, edges, tuple(forest.y), root)
@@ -468,6 +469,56 @@ def test_corrupted_cached_row_is_caught(fig3):
     forest.rows[key][far] += 1
     with pytest.raises(InternalInvariantError, match="stale"):
         select_global_candidate(forest)
+
+
+def _textbook_dijkstra(inst, weights, source):
+    """Reference: path weights excluding the source and including the
+    target, ``(dist, vertex)`` heap entries, strict improvement only.
+    Returns (interior distances, predecessors)."""
+    nbrs = [[] for _ in range(inst.num_vertices)]
+    for u, v in inst.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    dist = [math.inf] * inst.num_vertices
+    preds = [-1] * inst.num_vertices
+    dist[source] = 0
+    heap = [(0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v in nbrs[u]:
+            if d + weights[v] < dist[v]:
+                dist[v] = d + weights[v]
+                preds[v] = u
+                heapq.heappush(heap, (dist[v], v))
+    interior = [0 if v == source else dist[v] - weights[v] for v in range(inst.num_vertices)]
+    return interior, preds
+
+
+def test_shortest_paths_match_a_textbook_dijkstra():
+    # Distances and predecessor tie-breaks, from every root at every grade
+    # and from a few non-terminals, before the first merge and after each.
+    corpus = mixed_corpus(30, seed0=5700)
+    corpus += [
+        _uniform_ladders(random_instance(n, levels, seed=1, edge_prob=6 / n, terminal_fraction=0.3))
+        for n in (30, 60, 90, 120)
+        for levels in (2, 3)
+    ]
+    for inst in corpus:
+        others = [v for v in range(inst.num_vertices) if v not in inst.required]
+        forest = init_forest(inst)
+        while True:
+            for source in forest.roots() + others[:2] + others[-1:]:
+                for grade in range(1, inst.grades + 1):
+                    weights = [ladder[grade - 1] for ladder in forest.w]
+                    row = graded_shortest_paths(forest, source, grade)
+                    interior, preds = _textbook_dijkstra(inst, weights, source)
+                    assert list(row.interior_micros) == interior, (source, grade)
+                    assert list(row.preds) == preds, (source, grade)
+            if len(forest) < 2:
+                break
+            apply_merge(forest, select_global_candidate(forest))
 
 
 # ---------------------------------------------------------------------------
