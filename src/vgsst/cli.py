@@ -53,10 +53,9 @@ def _ratio_text(cost: Cost, optimum: Cost) -> str:
     if optimum.micros == 0:
         return "1.0" if cost.micros == 0 else "infinite"
     exact = Fraction(cost.micros, optimum.micros)
-    try:
-        value = float(exact)
-    except OverflowError:  # beyond float range: six significant digits, as ".6g" prints
+    if exact > 2**53:  # floats stop being exact here: six significant digits, as ".6g" prints
         return f"{(Decimal(exact.numerator) / exact.denominator).normalize(Context(prec=6)):g}"
+    value = float(exact)
     return f"{value:.1f}" if value == int(value) else f"{value:.6g}"
 
 
@@ -66,25 +65,19 @@ def _solve_instance(instance: Instance, algorithm: str) -> SolutionReport:
 
         return oracle.brute_force_optimum(instance, limit=_ORACLE_VERTEX_LIMIT)
     norm = normalize(instance)
-    if norm.instance == instance:
-        target = instance
-        mapped = None
-    else:
-        target = norm.instance
-        mapped = norm
     if algorithm == "greedy":
         from . import greedy
 
-        report = greedy.solve_greedy(target)
+        report = greedy.solve_greedy(norm.instance)
     elif algorithm in ("topdown", "bottomup"):
         from . import heuristics
 
         solver = heuristics.solve_topdown if algorithm == "topdown" else heuristics.solve_bottomup
-        report = solver(target, heuristics.greedy_as_vst)
+        report = solver(norm.instance, heuristics.greedy_as_vst)
     else:
         raise InputError(f"unknown algorithm {algorithm!r}")
-    if mapped is not None:
-        report = denormalize_solution(instance, mapped, report)
+    if norm.instance is not instance:
+        report = denormalize_solution(instance, norm, report)
     return report
 
 
@@ -294,11 +287,10 @@ def cmd_verify(args) -> int:
             print(f"FAIL: {f}")
         return 1
     try:
-        oracle._assignment_ranges(instance, _ORACLE_VERTEX_LIMIT)
+        optimum = oracle.brute_force_optimum(instance, limit=_ORACLE_VERTEX_LIMIT)
     except SizeCapError:
         ratio = "skipped (beyond oracle caps)"
     else:
-        optimum = oracle.brute_force_optimum(instance, limit=_ORACLE_VERTEX_LIMIT)
         ratio = _ratio_text(report.total_cost, optimum.total_cost)
     print(f"PASS: cost {report.total_cost}, ratio {ratio}")
     return 0

@@ -23,6 +23,11 @@ class CostPrecisionError(ValueError):
     """Raised for cost inputs that do not fit the 10^-6 grid."""
 
 
+def _named(text: str) -> str:
+    """A cost's text for an error line: quoted, or by its length, as it may be huge."""
+    return repr(text) if len(text) <= 40 else f"of {len(text)} characters"
+
+
 class _Record:
     """Base of the package's immutable records.
 
@@ -141,17 +146,17 @@ class Cost(_Record):
             try:
                 value = Decimal(value)
             except InvalidOperation as exc:
-                raise CostPrecisionError(f"unparseable cost {value!r}") from exc
+                raise CostPrecisionError(f"unparseable cost {_named(value)}") from exc
         if isinstance(value, Decimal):
             if not value.is_finite():
-                raise CostPrecisionError(f"cost {value} is not a finite number")
+                raise CostPrecisionError(f"cost {_named(str(value))} is not a finite number")
             if value and value.adjusted() >= _COST_DIGITS:
                 raise CostPrecisionError(f"cost is 10^{_COST_DIGITS} or more")
             exact = Context(prec=_COST_DIGITS + 6)  # holds every grid value below the bound
             scaled = exact.multiply(value, COST_SCALE)
             if exact.flags[Inexact] or scaled != scaled.to_integral_value():
                 raise CostPrecisionError(
-                    f"cost {value} has more than 6 fractional digits"
+                    f"cost {_named(str(value))} has more than 6 fractional digits"
                 )
             return Cost(int(scaled))
         raise TypeError(f"cannot build a cost from {type(value).__name__}")

@@ -1,7 +1,7 @@
 """Greedy merge solver.
 
 Maintains a collection of rooted trees, one per terminal to begin with,
-plus per-vertex incremental upgrade weights. Each round picks the merge
+plus incremental upgrade weights, one column per grade. Each round picks the merge
 with the best exact cost-to-connectivity ratio
 
     (dist(root, center) + weight(center) + sum of center-to-root dists)
@@ -104,8 +104,9 @@ class GrtForest:
     """Mutable working state of the greedy solver.
 
     Trees are keyed by their root vertex; member sets may overlap. ``y``
-    holds current grades, ``w[v][i-1]`` the exact incremental cost of
-    lifting v to grade i from its current grade. ``rows[(root, grade)]``
+    holds current grades, ``w[i-1][v]`` the exact incremental cost of
+    lifting v to grade i from its current grade, one column per grade.
+    ``rows[(root, grade)]``
     lists, per vertex, the interior distance in micros from ``root`` under
     that grade's weights (as ``GradedDistanceRow.interior_micros``), for
     each grade up to the root's requirement; the first scan fills it and
@@ -118,7 +119,7 @@ class GrtForest:
         for v, r in instance.required.items():
             self.y[v] = r
         self.w: list[list[int]] = [
-            [c.micros for c in ladder] for ladder in instance.costs
+            [ladder[i].micros for ladder in instance.costs] for i in range(instance.grades)
         ]
         self.trees: dict[int, set[int]] = {
             v: {v} for v in instance.terminals
@@ -133,7 +134,7 @@ class GrtForest:
         return sorted(self.trees)
 
     def weight(self, v: int, grade: int) -> Cost:
-        return Cost.from_micros(self.w[v][grade - 1])
+        return Cost.from_micros(self.w[grade - 1][v])
 
     def assignment(self) -> GradeAssignment:
         return tuple(self.y)
@@ -155,7 +156,7 @@ def graded_shortest_paths(forest: GrtForest, source: int, grade: int) -> GradedD
         raise InputError(f"source {source} out of range")
     if not 1 <= grade <= forest.instance.grades:
         raise InputError(f"grade {grade} out of range")
-    w = [ladder[grade - 1] for ladder in forest.w]
+    w = forest.w[grade - 1][:]
     w[source] = 0
     row: list = [float("inf")] * n
     row[source] = 0
@@ -250,14 +251,13 @@ def _best(forest: GrtForest, centers, grades) -> MergeCandidate | None:
     for center in centers:
         col = native[center]
         order = sorted(range(len(roots)), key=col.__getitem__)
-        w_center = w[center]
         for grade in grades:
             found = []
             if grade in outside:
                 ids, columns = outside[grade]
                 column = columns[center]
                 root_dist = min(column)
-                numerator = root_dist + w_center[grade - 1]
+                numerator = root_dist + w[grade - 1][center]
                 merged = 1
                 for i in order:
                     if req[i] <= grade:
@@ -268,7 +268,7 @@ def _best(forest: GrtForest, centers, grades) -> MergeCandidate | None:
                         merged += 1
                 found.append((numerator, merged, ids[column.index(root_dist)], merged - 1))
             if grade in demanded:
-                numerator = w_center[grade - 1]
+                numerator = w[grade - 1][center]
                 m = 0
                 promoted = None  # index into roots, so the smallest id
                 for i in order:
@@ -353,36 +353,30 @@ def apply_merge(forest: GrtForest, candidate: MergeCandidate) -> IterationRecord
         for v in path:
             targets[v] = max(targets.get(v, 0), required[r])
 
+    # Raising v to grade t pays its weight w[t-1][v] = c_t(v) - c_y(v):
+    # every grade up to t is then paid for, and higher grades cost only
+    # the remaining increment. Vertices not raised keep their weights.
     incurred = 0
+    changed: dict[int, list[int]] = {}  # grade -> vertices whose weight fell
     for v, target in targets.items():
         if target > forest.y[v]:
-            incurred += (
-                instance.cost_of(v, target).micros
-                - instance.cost_of(v, forest.y[v]).micros
-            )
+            paid = forest.w[target - 1][v]
+            incurred += paid
             forest.y[v] = target
+            for j, column in enumerate(forest.w):
+                new = 0 if j < target else column[v] - paid
+                if new != column[v]:
+                    if new > column[v]:
+                        raise InternalInvariantError(
+                            f"weight of vertex {v} at grade {j + 1} rose in a merge"
+                        )
+                    column[v] = new
+                    changed.setdefault(j + 1, []).append(v)
 
     members = set(targets)
     members |= forest.trees[candidate.root]
     for r in candidate.subset_roots:
         members |= forest.trees[r]
-
-    # Incremental weights: everything at or below the new grade is paid
-    # for; higher grades cost only the remaining increment.
-    changed: dict[int, list[int]] = {}  # grade -> vertices whose weight fell
-    for v in members:
-        y_v = forest.y[v]
-        paid = forest.w[v][y_v - 1] if y_v >= 1 else 0
-        row = forest.w[v]
-        for j in range(instance.grades):
-            new = 0 if j + 1 <= y_v else row[j] - paid
-            if new != row[j]:
-                if new > row[j]:
-                    raise InternalInvariantError(
-                        f"weight of vertex {v} at grade {j + 1} rose in a merge"
-                    )
-                row[j] = new
-                changed.setdefault(j + 1, []).append(v)
 
     del forest.trees[candidate.root]
     for r in candidate.subset_roots:
@@ -392,10 +386,9 @@ def apply_merge(forest: GrtForest, candidate: MergeCandidate) -> IterationRecord
     forest.trees[candidate.root] = members
     forest.version += 1
 
-    columns = {g: [ladder[g - 1] for ladder in forest.w] for g in changed}
     for (source, g), row in forest.rows.items():
         if g in changed:
-            w = columns[g]
+            w = forest.w[g - 1]
             heap = [(row[v] + w[v], v) for v in changed[g] if v != source]
             heapq.heapify(heap)
             _settle(row, w, instance.adjacency, heap)

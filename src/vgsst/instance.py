@@ -274,7 +274,8 @@ def normalize(instance: Instance) -> NormalizeResult:
     off them that takes over the terminal role; the original vertex keeps
     its ladder reduced by the required-grade cost (so later upgrades are
     charged only their increment). The grade count drops to the highest
-    grade actually demanded.
+    grade actually demanded. An instance already in this form is returned
+    as is.
     """
     if not instance.required:
         raise InputError("cannot normalize an instance with no terminals")
@@ -307,8 +308,9 @@ def normalize(instance: Instance) -> NormalizeResult:
         moved[v] = twin
         offset = offset + paid
 
-    normalized = Instance.build(n, edges, top, required, ladders)
-    return NormalizeResult(instance=normalized, offset=offset, moved=moved)
+    if moved or top < instance.grades:
+        instance = Instance.build(n, edges, top, required, ladders)
+    return NormalizeResult(instance=instance, offset=offset, moved=moved)
 
 
 def denormalize_solution(

@@ -332,6 +332,25 @@ def test_verify_prints_a_ratio_beyond_float_range(capsys, tmp_path):
     assert out == f"PASS: cost 1{'0' * 399}1, ratio 1e+400\n"
 
 
+def test_verify_prints_a_float_range_ratio_beyond_2_to_the_53(capsys, tmp_path):
+    # As above, but the pendant costs 10^300 - 1: the ratio is exactly
+    # 10^300, which a float holds only rounded.
+    inst = tmp_path / "huge.json"
+    inst.write_text(
+        '{"num_vertices": 4, "grades": 1, "edges": [[0, 1], [1, 2], [1, 3]],'
+        ' "terminals": [{"vertex": 0, "required": 1}, {"vertex": 2, "required": 1}],'
+        f' "costs": [[0], [1], [0], [{"9" * 300}]]}}'
+    )
+    sol = tmp_path / "s.json"
+    sol.write_text(
+        '{"assignment": [1, 1, 1, 1], "tree_edges": [[0, 1], [1, 2], [1, 3]],'
+        f' "cost": 1{"0" * 300}, "iterations": []}}'
+    )
+    code, out, err = run(capsys, "verify", str(inst), str(sol))
+    assert (code, err) == (0, "")
+    assert out == f"PASS: cost 1{'0' * 300}, ratio 1e+300\n"
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -460,6 +479,8 @@ MALFORMED = {
     "instance-cost-beyond-decimal-range": ("instance", _fig3_with_cost("1e1000000"), [], {}),
     "instance-cost-beyond-printable-ints": ("instance", _fig3_with_cost("1e5000"), [], {}),
     "instance-integer-beyond-4300-digits": ("instance", _fig3_with_cost("1" * 5000), [], {}),
+    "instance-cost-with-3000-zeros": ("instance", _fig3_with_cost(f'"1.{"0" * 3000}1"'), [], {}),
+    "instance-cost-not-a-number": ("instance", _fig3_with_cost(f'"{"x" * 5000}"'), [], {}),
     "instance-directory": ("instance", DIRECTORY, [], {}),
     "instance-directory-verify": ("instance", DIRECTORY, ["verify"], {}),
     "instance-not-utf8": ("instance", b'{"num_vertices": "\xff"}', [], {}),
@@ -518,6 +539,15 @@ def test_malformed_input_exits_2(capsys, fig3_file, tmp_path, monkeypatch, case)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["instance-cost-with-3000-zeros", "instance-cost-not-a-number"])
+def test_long_cost_gives_a_short_error_line(capsys, tmp_path, case):
+    bad = tmp_path / "bad.json"
+    _corrupt(bad, MALFORMED[case][1])
+    code, _, err = run(capsys, "solve", str(bad), "-o", str(tmp_path / "out.json"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 120
 
 
 def test_nested_value_gives_a_short_error_line(capsys, fig3_file, tmp_path):

@@ -382,7 +382,7 @@ def _exhaustive_best_gamma(forest):
                     for subset in combinations(others, size):
                         total = (
                             root_dist
-                            + forest.w[center][grade - 1]
+                            + forest.w[grade - 1][center]
                             + sum(
                                 rows[(r, inst.required[r])].interior_micros[center]
                                 for r in subset
@@ -511,7 +511,7 @@ def test_shortest_paths_match_a_textbook_dijkstra():
         while True:
             for source in forest.roots() + others[:2] + others[-1:]:
                 for grade in range(1, inst.grades + 1):
-                    weights = [ladder[grade - 1] for ladder in forest.w]
+                    weights = forest.w[grade - 1]
                     row = graded_shortest_paths(forest, source, grade)
                     interior, preds = _textbook_dijkstra(inst, weights, source)
                     assert list(row.interior_micros) == interior, (source, grade)
@@ -589,7 +589,7 @@ def _every_prefix_best(forest, center, grade, rows):
         (rows[(r, required[r])].interior_micros[center], r) for r in roots if required[r] <= grade
     )
     outside = [r for r in roots if required[r] > grade]
-    w_center = forest.w[center][grade - 1]
+    w_center = forest.w[grade - 1][center]
     scored = []
     if outside and eligible:
         root_dist, root = min((rows[(r, grade)].interior_micros[center], r) for r in outside)

@@ -34,6 +34,10 @@ def test_builtin_already_normalized(fig3):
     assert result.instance == fig3
 
 
+def test_normalized_instance_is_returned_as_is(fig3):
+    assert normalize(fig3).instance is fig3
+
+
 def test_grade_count_drops_to_top_demand():
     inst = Instance.build(
         2, [(0, 1)], 3, {0: 2, 1: 1}, [[0, 0, 4], [0, 1, 9]]
