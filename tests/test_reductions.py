@@ -1,7 +1,9 @@
 """Layered-digraph reduction, arborescence oracle, tree checkers, spiders."""
 
+import hashlib
 import json
 import os
+import random
 
 import pytest
 
@@ -20,6 +22,7 @@ from vgsst import (
     solve_greedy,
     spider_decompose,
 )
+from vgsst import reductions
 
 from conftest import mixed_corpus, optimized_grt, random_grt
 
@@ -364,3 +367,67 @@ def test_decomposition_matches_pinned_spiders():
         host, edges, y, root, marked = optimized_grt(seed)
         result = spider_decompose(host, edges, y, root, marked)
         assert _decomposition_json(result) == expected, seed
+
+
+GOLDEN_LARGE_SPIDERS = os.path.join(
+    os.path.dirname(__file__), "golden", "spider_decompositions_large.json"
+)
+#: (n, seed, span) of the large pinned trees; span 0 attaches each vertex
+#: anywhere before it, span k only to one of the k vertices just before it,
+#: so span 1 is a path and small spans give deep, chain-like trees.
+LARGE_TREES = tuple(
+    (n, seed, span)
+    for n in (50, 200, 1000)
+    for seed, span in ((1, 0), (2, 0), (3, 3), (4, 2), (5, 1))
+)
+
+
+def _large_grt(n, seed, span):
+    """A demoted three-grade tree on n vertices with 30% of them marked."""
+    rng = random.Random(seed)
+    levels = 3
+    parent = [0] * n
+    edges = []
+    for v in range(1, n):
+        parent[v] = rng.randrange(max(0, v - span) if span else 0, v)
+        edges.append((parent[v], v))
+    y = [levels] + [0] * (n - 1)
+    for v in range(1, n):
+        y[v] = rng.randint(1, y[parent[v]])
+    marked = {0} | set(rng.sample(range(1, n), int(0.3 * n)))
+    host = Instance.build(n, edges, levels, {0: levels}, [[0] * levels] * n)
+    pruned, demoted = m_optimize(host, edges, tuple(y), 0, marked)
+    return host, pruned, demoted, 0, marked
+
+
+def _large_decompositions():
+    for n, seed, span in LARGE_TREES:
+        yield f"n={n} seed={seed} span={span}", spider_decompose(*_large_grt(n, seed, span))
+
+
+def test_decomposition_matches_pinned_large_trees():
+    # The spider count and the sha256 of the _decomposition_json bytes of
+    # each LARGE_TREES decomposition.
+    with open(GOLDEN_LARGE_SPIDERS, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    results = dict(_large_decompositions())
+    assert list(golden) == list(results)
+    for (n, seed, span), (key, result) in zip(LARGE_TREES, results.items()):
+        _assert_valid_decomposition(None, result, _large_grt(n, seed, span)[4])
+        digest = hashlib.sha256(json.dumps(_decomposition_json(result)).encode()).hexdigest()
+        assert {"spiders": len(result.spiders), "sha256": digest} == golden[key], key
+
+
+def test_decomposition_roots_the_tree_three_times_per_spider(monkeypatch):
+    # Twice in the entry check's m_optimize, once per round to find the
+    # deepest center and twice more per re-demotion between rounds.
+    calls = []
+    build = reductions._build_rooted
+    monkeypatch.setattr(
+        reductions, "_build_rooted", lambda *args: calls.append(1) or build(*args)
+    )
+    for n, seed, span in LARGE_TREES:
+        args = _large_grt(n, seed, span)
+        calls.clear()
+        result = spider_decompose(*args)
+        assert len(calls) == 3 * len(result.spiders), (n, seed, span)
