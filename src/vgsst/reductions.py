@@ -217,8 +217,8 @@ def m_optimize(
 
     Branches holding no marked vertex are removed; every kept unmarked
     vertex drops to the highest grade of a marked vertex below it. Marked
-    vertices keep their grades. The result is still grade-respecting and
-    never costs more.
+    vertices keep their grades and must all lie on the tree. The result is
+    still grade-respecting and never costs more.
     """
     marked_set = set(marked)
     if root not in marked_set:
@@ -227,6 +227,9 @@ def m_optimize(
     if not ok:
         raise InputError(f"input tree is not grade-respecting: path {path}")
     _parent, children, order = _build_rooted(tree_edges, root)
+    off_tree = marked_set.difference(order)
+    if off_tree:
+        raise InputError(f"marked vertices not on the tree: {sorted(off_tree)}")
     demand = _subtree_demand(order, children, y, marked_set)
 
     new_y = list(y)

@@ -176,6 +176,16 @@ def test_demotion_requires_marked_root():
         m_optimize(host, [(0, 1)], (1, 1), 0, {1})
 
 
+def test_marked_vertices_off_the_tree_are_refused():
+    # Vertex 5 is a host vertex but not on the tree 0-1-{2,3}.
+    host = _host(6, [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5)], levels=2, root_demand=2)
+    tree = [(0, 1), (1, 2), (1, 3)]
+    with pytest.raises(InputError, match=r"marked vertices not on the tree: \[5\]"):
+        m_optimize(host, tree, (2, 1, 1, 1, 0, 1), 0, {0, 2, 5})
+    with pytest.raises(InputError, match=r"marked vertices not on the tree: \[5\]"):
+        spider_decompose(host, tree, (2, 1, 1, 1, 0, 0), 0, {0, 2, 3, 5})
+
+
 def test_demotion_idempotent_and_never_costlier():
     for seed in range(120):
         host, edges, y, root, marked = random_grt(seed)
