@@ -6,7 +6,9 @@ grade-respecting-tree predicate, subtree demotion against a marked vertex
 set, and the constructive decomposition of a demoted tree into rooted
 spiders. The decomposition mirrors the inductive argument it certifies:
 peel the deepest subtree holding two or more marked vertices, re-demote
-the remainder, repeat.
+the remainder, repeat. It runs as one deepest-first sweep over a tree
+rooted once, since a peel changes marked counts and demoted grades only
+on the peeled center's ancestors.
 """
 
 from __future__ import annotations
@@ -283,13 +285,6 @@ def _assert_spider_shape(children: dict[int, list[int]], center: int, nodes: set
             )
 
 
-def _collect(children: dict[int, list[int]], v: int) -> list[int]:
-    out = [v]
-    for u in out:
-        out.extend(children[u])
-    return out
-
-
 def _leaf_paths(children: dict[int, list[int]], center: int) -> list[tuple[int, ...]]:
     """Center-to-leaf paths of a spider-shaped subtree, leaves sorted."""
     paths = []
@@ -299,8 +294,6 @@ def _leaf_paths(children: dict[int, list[int]], center: int) -> list[tuple[int, 
             (nxt,) = children[path[-1]]
             path.append(nxt)
         paths.append(tuple(path))
-    if not children[center]:
-        paths = []
     return sorted(paths, key=lambda p: p[-1])
 
 
@@ -313,90 +306,87 @@ def spider_decompose(
 ) -> RootedSpiderDecomposition:
     """Cut a demoted grade-respecting tree into vertex-disjoint rooted spiders.
 
-    Repeatedly selects the vertex furthest from the root (ties to the
-    smaller id) whose subtree still holds at least two marked vertices:
-    that subtree is one spider, rooted at the vertex itself when marked,
-    else at a marked descendant of equal grade (which exists because the
-    tree is demoted). When only the root remains marked outside, the final
-    spider absorbs the root-to-center path; the remainder is re-demoted
-    before recursing, matching the construction this certifies.
+    The construction this certifies repeatedly takes the vertex furthest
+    from the root (ties to the smaller id) whose subtree still holds at
+    least two marked vertices: that subtree is one spider, rooted at the
+    vertex itself when marked, else at a marked descendant of equal grade
+    (which exists because the tree is demoted). It then prunes and
+    re-demotes the remainder. When only the root remains marked outside,
+    the final spider absorbs the root-to-center path.
+
+    The tree is rooted once and swept deepest first. Carving a spider only
+    lowers marked counts, and only on the center's ancestors, which come
+    later in the sweep; so the first vertex met whose count is still two or
+    more is the next center. Re-demotion likewise changes grades only on
+    that ancestor path: a vertex left with no marked descendant drops to 0,
+    and an unmarked one to the highest grade among its live children.
     """
     marked_set = set(marked)
     if len(marked_set) < 2:
         raise InputError("decomposition needs at least two marked vertices")
     if root not in marked_set:
         raise InputError("the root must belong to the marked set")
-    edges, work_y = m_optimize(instance, tree_edges, y, root, marked_set)
+    edges, demoted = m_optimize(instance, tree_edges, y, root, marked_set)
     canonical = {tuple(sorted(e)) for e in edges}
-    if canonical != {tuple(sorted(e)) for e in tree_edges} or tuple(work_y) != tuple(y):
+    if canonical != {tuple(sorted(e)) for e in tree_edges} or tuple(demoted) != tuple(y):
         raise InputError("input tree is not demoted against the marked set")
 
-    m_cur = set(marked_set)
+    parent, children, order = _build_rooted(edges, root)
+    depth = {root: 0}
+    count = {v: int(v in marked_set) for v in order}  # live marked vertices below
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    for v in reversed(order[1:]):
+        count[parent[v]] += count[v]
+    grades = list(y)
     spiders: list[Spider] = []
-
-    def emit(center: int, spider_root: int, nodes: list[int], root_path: tuple[int, ...]):
-        node_set = set(nodes) | set(root_path)
-        _assert_spider_shape(children, center, set(nodes))
-        legs = [
-            p for p in _leaf_paths(children, center) if p[-1] != spider_root
-        ]
-        feet = tuple(sorted((node_set & marked_set) - {spider_root}))
-        spiders.append(
-            Spider(
-                root=spider_root,
-                center=center,
-                root_path=root_path,
-                legs=tuple(legs),
-                members=frozenset(node_set),
-                feet=feet,
-            )
-        )
-
-    while True:
-        parent, children, order = _build_rooted(edges, root)
-        depth = {root: 0}
-        for v in order:
-            for u in children[v]:
-                depth[u] = depth[v] + 1
-        counts = {v: (1 if v in m_cur else 0) for v in order}
-        for v in reversed(order):
-            for u in children[v]:
-                counts[v] += counts[u]
-        deepest = max(
-            (v for v in order if counts[v] >= 2),
-            key=lambda v: (depth[v], -v),
-        )
-
-        if deepest == root:
-            emit(root, root, order, (root,))
-            break
-
-        subtree = _collect(children, deepest)
-        rest = m_cur - set(subtree)
-        if len(rest) == 1:
-            emit(deepest, root, subtree, _climb(parent, deepest, root))
-            break
-
-        if deepest in m_cur:
-            spider_root = deepest
-            root_path = (deepest,)
+    for center in sorted(order, key=lambda v: (-depth[v], v)):
+        if count[center] < 2:
+            continue
+        members, live = [center], {}
+        for v in members:
+            live[v] = [u for u in children[v] if count[u]]
+            members.extend(live[v])
+        last = center == root or count[root] - count[center] == 1
+        if last:
+            spider_root = root
+            root_path = _climb(parent, center, root)
+        elif center in marked_set:
+            spider_root = center
+            root_path = (center,)
         else:
             equals = sorted(
-                w for w in subtree if w in m_cur and work_y[w] == work_y[deepest]
+                w for w in members if w in marked_set and grades[w] == grades[center]
             )
             if not equals:
                 raise InternalInvariantError(
                     "demoted tree lost its equal-grade marked descendant"
                 )
             spider_root = equals[0]
-            root_path = _climb(parent, spider_root, deepest)[::-1]
-        emit(deepest, spider_root, subtree, root_path)
+            root_path = _climb(parent, spider_root, center)[::-1]
+        _assert_spider_shape(live, center, set(members))
+        node_set = set(members) | set(root_path)
+        spiders.append(
+            Spider(
+                root=spider_root,
+                center=center,
+                root_path=root_path,
+                legs=tuple(p for p in _leaf_paths(live, center) if p[-1] != spider_root),
+                members=frozenset(node_set),
+                feet=tuple(sorted((node_set & marked_set) - {spider_root})),
+            )
+        )
+        if last:
+            break
 
-        # Detach the spider, then prune and re-demote the remainder so the
-        # equal-grade guarantee keeps holding for later rounds.
-        cut = set(subtree)
-        remaining = [(u, v) for u, v in edges if u not in cut and v not in cut]
-        m_cur = rest
-        edges, work_y = m_optimize(instance, remaining, work_y, root, m_cur)
+        carved = count[center]
+        for v in members:
+            count[v] = 0
+        for v in _climb(parent, center, root)[1:]:
+            count[v] -= carved
+            if not count[v]:
+                grades[v] = 0
+            elif v not in marked_set:
+                grades[v] = max(grades[u] for u in children[v] if count[u])
 
-    return RootedSpiderDecomposition(spiders=tuple(spiders), grades=tuple(work_y))
+    return RootedSpiderDecomposition(spiders=tuple(spiders), grades=tuple(grades))
