@@ -258,6 +258,11 @@ def cmd_verify(args) -> int:
     instance = read_instance(args.instance)
     assert_valid(instance, structural_only=True)
     report = read_solution(args.solution)
+    root = report.iterations[-1].root if report.iterations else None
+    if root is not None and not 0 <= root < instance.num_vertices:
+        raise InputError(
+            f"merge root {root} is out of range for {instance.num_vertices} vertices"
+        )
     failures = []
 
     recomputed = solution_cost(instance, report.assignment)
@@ -274,13 +279,14 @@ def cmd_verify(args) -> int:
                 f"grade-{witness.grade} witness pair {witness.pair} disconnected"
             )
     failures.extend(_tree_failures(instance, report))
-    if report.iterations and not failures:
-        root = report.iterations[-1].root
-        grt_ok, path = check_grt(
-            instance, report.tree_edges, report.assignment, root
-        )
-        if not grt_ok:
-            failures.append(f"grades increase away from root {root} along {path}")
+    if root is not None and not failures:
+        # The tree spans exactly the bought vertices, so a bought root is on it.
+        if report.assignment[root] < 1:
+            failures.append(f"merge root {root} is not a bought vertex")
+        else:
+            grt_ok, path = check_grt(instance, report.tree_edges, report.assignment, root)
+            if not grt_ok:
+                failures.append(f"grades increase away from root {root} along {path}")
 
     if failures:
         for f in failures:
@@ -300,6 +306,8 @@ def cmd_bench(args) -> int:
     from .generators import random_instance
 
     seed = _seed(args)
+    if args.count < 1:
+        raise InputError(f"--count must be at least 1, got {args.count}")
     algorithms = args.algorithms.split(",")
     for algorithm in algorithms:
         if algorithm not in _ALGORITHMS:

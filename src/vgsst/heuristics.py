@@ -86,11 +86,7 @@ def greedy_as_vst(view: Instance) -> frozenset[int]:
         raise VgsstError("subroutine views must have exactly one grade")
     norm = normalize(view)
     report = solve_greedy(norm.instance)
-    spanned = {
-        v
-        for v in range(view.num_vertices)
-        if v < len(report.assignment) and report.assignment[v] >= 1
-    }
+    spanned = {v for v in range(view.num_vertices) if report.assignment[v] >= 1}
     spanned.update(view.terminals)
     return frozenset(spanned)
 

@@ -271,6 +271,29 @@ def test_verify_rejects_forged_tree(capsys, fig3_file, tmp_path):
     assert out.startswith("FAIL:") and "PASS" not in out
 
 
+def test_verify_checks_the_last_merge_root(capsys, fig3_file, tmp_path):
+    # fig3's greedy buys every vertex but 3: a last record rooted there is a
+    # verification failure, and one rooted off the instance is malformed.
+    sol_path = tmp_path / "sol.json"
+    run(capsys, "solve", fig3_file, "-o", str(sol_path))
+    _corrupt(sol_path, _set(["iterations", -1, "root"], 3))
+    assert run(capsys, "verify", fig3_file, str(sol_path)) == (
+        1, "FAIL: merge root 3 is not a bought vertex\n", ""
+    )
+    _corrupt(sol_path, _set(["iterations", -1, "root"], 999))
+    assert run(capsys, "verify", fig3_file, str(sol_path)) == (
+        2, "", "error: merge root 999 is out of range for 8 vertices\n"
+    )
+
+
+def test_failed_write_names_the_target(capsys, fig3_file, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "solve", fig3_file, "-o", "missing/out.json")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'missing/out.json'" in err and ".tmp" not in err
+
+
 def test_verify_skips_ratio_beyond_candidate_cap(capsys, tmp_path):
     # Ten vertices, but 8^8 candidate assignments: over the oracle's
     # product cap, so verify certifies the file and skips the ratio.
@@ -504,6 +527,8 @@ MALFORMED = {
     "gen-seed-env": (None, None, ["gen", "--random"], {"VGSST_SEED": "abc"}),
     "bench-seed-env": (None, None, ["bench", "--count", "1"], {"VGSST_SEED": "abc"}),
     "solve-zero-jobs": (None, None, ["solve", "--jobs", "0"], {}),
+    "solution-merge-root-out-of-range": ("solution", _set(["iterations", -1, "root"], 999), [], {}),
+    "bench-negative-count": (None, None, ["bench", "--count", "-1"], {}),
     "gen-negative-eps": (None, None, ["gen", "--builtin", "fig2", "--eps", "-2"], {}),
     "gen-nan-terminal-fraction": (
         None, None, ["gen", "--random", "--terminal-fraction", "nan"], {}
