@@ -260,9 +260,7 @@ def cmd_verify(args) -> int:
     report = read_solution(args.solution)
     root = report.iterations[-1].root if report.iterations else None
     if root is not None and not 0 <= root < instance.num_vertices:
-        raise InputError(
-            f"merge root {root} is out of range for {instance.num_vertices} vertices"
-        )
+        raise InputError(f"merge root {root} is not a vertex of the instance")
     failures = []
 
     recomputed = solution_cost(instance, report.assignment)

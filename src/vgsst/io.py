@@ -253,18 +253,18 @@ def read_solution(path: str) -> SolutionReport:
 def write_atomic(path: str, text: str) -> None:
     """Write via a temp file in the target directory, then rename.
 
-    A failed write is reported by ``path``, never by the temp file's name.
+    A failed write is reported by ``path``, not by the temp file's name.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise OSError(exc.errno, exc.strerror, path) from exc
-        raise
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc

@@ -4,11 +4,9 @@ Contains the layered-digraph reduction to directed Steiner arborescence
 (with an exact subset-DP oracle for desk-size instances), the
 grade-respecting-tree predicate, subtree demotion against a marked vertex
 set, and the constructive decomposition of a demoted tree into rooted
-spiders. The decomposition mirrors the inductive argument it certifies:
-peel the deepest subtree holding two or more marked vertices, re-demote
-the remainder, repeat. It runs as one deepest-first sweep over a tree
-rooted once, since a peel changes marked counts and demoted grades only
-on the peeled center's ancestors.
+spiders. The decomposition mirrors the inductive argument it certifies
+(peel the deepest subtree holding two or more marked vertices, re-demote
+the remainder, repeat) in one deepest-first sweep over the tree.
 """
 
 from __future__ import annotations
@@ -306,20 +304,15 @@ def spider_decompose(
 ) -> RootedSpiderDecomposition:
     """Cut a demoted grade-respecting tree into vertex-disjoint rooted spiders.
 
-    The construction this certifies repeatedly takes the vertex furthest
-    from the root (ties to the smaller id) whose subtree still holds at
-    least two marked vertices: that subtree is one spider, rooted at the
-    vertex itself when marked, else at a marked descendant of equal grade
-    (which exists because the tree is demoted). It then prunes and
-    re-demotes the remainder. When only the root remains marked outside,
-    the final spider absorbs the root-to-center path.
-
-    The tree is rooted once and swept deepest first. Carving a spider only
-    lowers marked counts, and only on the center's ancestors, which come
-    later in the sweep; so the first vertex met whose count is still two or
-    more is the next center. Re-demotion likewise changes grades only on
-    that ancestor path: a vertex left with no marked descendant drops to 0,
-    and an unmarked one to the highest grade among its live children.
+    Repeatedly takes the deepest vertex (ties to the smaller id) whose
+    subtree still holds two or more marked vertices: that subtree is one
+    spider, rooted at the vertex itself when marked, else at a marked
+    descendant of equal grade (which exists because the tree is demoted).
+    When only the root remains marked outside, the final spider absorbs the
+    root-to-center path. Pruning and re-demoting the remainder after a
+    spider only lowers marked counts, and changes grades only on the
+    center's ancestors, which come later in deepest-first order; so one
+    sweep over the tree, rooted once, finds every spider.
     """
     marked_set = set(marked)
     if len(marked_set) < 2:

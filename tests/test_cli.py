@@ -282,7 +282,7 @@ def test_verify_checks_the_last_merge_root(capsys, fig3_file, tmp_path):
     )
     _corrupt(sol_path, _set(["iterations", -1, "root"], 999))
     assert run(capsys, "verify", fig3_file, str(sol_path)) == (
-        2, "", "error: merge root 999 is out of range for 8 vertices\n"
+        2, "", "error: merge root 999 is not a vertex of the instance\n"
     )
 
 
