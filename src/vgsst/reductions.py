@@ -326,7 +326,7 @@ def spider_decompose(
 
     parent, children, order = _build_rooted(edges, root)
     depth = {root: 0}
-    count = {v: int(v in marked_set) for v in order}  # live marked vertices below
+    count = {v: int(v in marked_set) for v in order}  # uncarved marked in each subtree
     for v in order[1:]:
         depth[v] = depth[parent[v]] + 1
     for v in reversed(order[1:]):

@@ -410,22 +410,18 @@ def _large_grt(n, seed, span):
     return host, pruned, demoted, 0, marked
 
 
-def _large_decompositions():
-    for n, seed, span in LARGE_TREES:
-        yield f"n={n} seed={seed} span={span}", spider_decompose(*_large_grt(n, seed, span))
-
-
 def test_decomposition_matches_pinned_large_trees():
     # The spider count and the sha256 of the _decomposition_json bytes of
     # each LARGE_TREES decomposition.
     with open(GOLDEN_LARGE_SPIDERS, encoding="utf-8") as fh:
         golden = json.load(fh)
-    results = dict(_large_decompositions())
-    assert list(golden) == list(results)
-    for (n, seed, span), (key, result) in zip(LARGE_TREES, results.items()):
-        _assert_valid_decomposition(None, result, _large_grt(n, seed, span)[4])
+    assert list(golden) == [f"n={n} seed={seed} span={span}" for n, seed, span in LARGE_TREES]
+    for (n, seed, span), expected in zip(LARGE_TREES, golden.values()):
+        host, edges, y, root, marked = _large_grt(n, seed, span)
+        result = spider_decompose(host, edges, y, root, marked)
+        _assert_valid_decomposition(host, result, marked)
         digest = hashlib.sha256(json.dumps(_decomposition_json(result)).encode()).hexdigest()
-        assert {"spiders": len(result.spiders), "sha256": digest} == golden[key], key
+        assert {"spiders": len(result.spiders), "sha256": digest} == expected, (n, seed, span)
 
 
 def test_decomposition_roots_the_tree_three_times(monkeypatch):
