@@ -15,8 +15,9 @@ single tree remains; the cost is within 2*ln(#terminals) of optimal.
 The distances come from per-(root, grade) rows of plain integers that
 live on the forest across rounds. One Dijkstra loop, ``_settle``, both
 fills them in the first scan and repairs them in place after each merge,
-which only ever lowers weights. Only the winner's paths are rebuilt by a
-fresh Dijkstra, which also checks the rows it reads.
+which only ever lowers weights. The winner's paths come from the same loop
+run from each path's root and stopped once it pops the center, after a
+check in one O(m) pass that every row the winner reads is exact.
 
 Each round's scan reads the rows as columns, one per center, and sorts
 the roots by distance once per center for every grade. The best subset
@@ -70,13 +71,17 @@ class GradedDistanceRow(_Record):
 
     def path_to(self, v: int) -> tuple[int, ...]:
         """Vertices from source to v, inclusive."""
-        path = [v]
-        while path[-1] != self.source:
-            prev = self.preds[path[-1]]
-            if prev < 0:
-                raise InternalInvariantError(f"no path recorded to {v}")
-            path.append(prev)
-        return tuple(reversed(path))
+        return _path(self.preds, self.source, v)
+
+
+def _path(preds, source: int, v: int) -> tuple[int, ...]:
+    path = [v]
+    while path[-1] != source:
+        prev = preds[path[-1]]
+        if prev < 0:
+            raise InternalInvariantError(f"no path recorded to {v}")
+        path.append(prev)
+    return tuple(reversed(path))
 
 
 class MergeCandidate(_Record):
@@ -156,18 +161,27 @@ def graded_shortest_paths(forest: GrtForest, source: int, grade: int) -> GradedD
         raise InputError(f"source {source} out of range")
     if not 1 <= grade <= forest.instance.grades:
         raise InputError(f"grade {grade} out of range")
-    w = forest.w[grade - 1][:]
-    w[source] = 0
-    row: list = [float("inf")] * n
-    row[source] = 0
-    preds = [-1] * n
-    _settle(row, w, forest.instance.adjacency, [(0, source)], preds)
+    _, row, preds = _dijkstra(forest, source, grade)
     if float("inf") in row:
         raise InternalInvariantError("graph must be connected")
     return GradedDistanceRow(source, grade, tuple(row), tuple(preds))
 
 
-def _settle(row: list, w: list[int], adjacency, heap: list, preds: list | None = None) -> None:
+def _dijkstra(forest: GrtForest, source: int, grade: int, stop: int = -1):
+    """``_settle`` from ``source`` under the grade's weights with the
+    source's set to 0: those weights, the row and the predecessors."""
+    w = forest.w[grade - 1][:]
+    w[source] = 0
+    row: list = [float("inf")] * len(w)
+    row[source] = 0
+    preds = [-1] * len(w)
+    _settle(row, w, forest.instance.adjacency, [(0, source)], preds, stop)
+    return w, row, preds
+
+
+def _settle(
+    row: list, w: list[int], adjacency, heap: list, preds: list | None = None, stop: int = -1
+) -> None:
     """The greedy's one Dijkstra: lower the interior distances ``row`` in place
     from the labels ``row[u] + w[u]`` (path weight, source excluded) in ``heap``.
 
@@ -178,12 +192,20 @@ def _settle(row: list, w: list[int], adjacency, heap: list, preds: list | None =
     shortest path whose entry is still too high has a correct predecessor,
     whose label either fell, so it was seeded or pushed, or did not, so the
     old entry was already right.
+
+    The loop returns as soon as it pops ``stop`` with a current label; the
+    fill and the repair pass no vertex. A stopped fill pops exactly what the
+    full fill pops up to that point, and every vertex on a popped vertex's
+    predecessor chain was popped before it, so the chain to ``stop`` is the
+    full fill's, tie-breaks included.
     """
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         d, u = pop(heap)
         if d != row[u] + w[u]:
             continue
+        if u == stop:
+            return
         for x in adjacency[u]:
             # row[source] is 0, so the source is never lowered.
             if d < row[x]:
@@ -193,15 +215,57 @@ def _settle(row: list, w: list[int], adjacency, heap: list, preds: list | None =
                 push(heap, (d + w[x], x))
 
 
+def _row_is_exact(row: list[int], w: list[int], adjacency, source: int) -> bool:
+    """Are ``row``'s entries the interior distances from ``source`` under
+    the weights ``w``, whose ``w[source]`` is 0?
+
+    With d the true distances, this holds iff (1) ``row[source] == 0``,
+    (2) no arc (u, x) has ``row[x] > row[u] + w[u]``, and (3) every vertex
+    is reached from the source over tight arcs, those with
+    ``row[x] == row[u] + w[u]``.
+
+    If: along a shortest path to x, (1) and (2) give row[x] <= d[x] by
+    induction from the source. Along a tight path to x, the entries add up
+    the path's weights from row[source] = 0, so row[x] is the weight of
+    some path and row[x] >= d[x]. Only if: d[source] = 0; d obeys every
+    triangle inequality; and on a connected graph the last arc of a
+    shortest path with fewest arcs is tight, its prefix being such a path
+    too, so each vertex is reached from the source over tight arcs.
+    Without (3), lowering the entries of adjacent zero-weight vertices
+    equally can keep (1) and (2).
+
+    One breadth-first walk from the source checks (2) on every arc it
+    scans and follows the tight ones; if it reaches every vertex, it has
+    scanned every arc.
+    """
+    if row[source] != 0:
+        return False
+    seen = [False] * len(row)
+    seen[source] = True
+    order = [source]
+    reach = order.append
+    for u in order:
+        d = row[u] + w[u]
+        for x in adjacency[u]:
+            r = row[x]
+            if r >= d:
+                if r > d:
+                    return False
+                if not seen[x]:
+                    seen[x] = True
+                    reach(x)
+    return len(order) == len(row)
+
+
 def _winner_path(forest: GrtForest, source: int, grade: int, center: int):
-    """Path from ``source`` to ``center`` by a fresh Dijkstra, whose
-    distances must equal the cached row's."""
-    fresh = graded_shortest_paths(forest, source, grade)
-    if list(fresh.interior_micros) != forest.rows[(source, grade)]:
+    """Path from ``source`` to ``center`` by a Dijkstra stopped at the
+    center; raises if the cached row from ``source`` is not exact."""
+    w, _, preds = _dijkstra(forest, source, grade, center)
+    if not _row_is_exact(forest.rows[(source, grade)], w, forest.instance.adjacency, source):
         raise InternalInvariantError(
             f"cached distance row of root {source} at grade {grade} is stale"
         )
-    return fresh.path_to(center)
+    return _path(preds, source, center)
 
 
 def _best(forest: GrtForest, centers, grades) -> MergeCandidate | None:
@@ -414,6 +478,23 @@ def solve_greedy(instance: Instance) -> SolutionReport:
 
     Requires a normalized instance (zero terminal ladders up to each
     requirement, top grade demanded by some terminal).
+
+    With k_i trees before round i and LB = max_i k_i * gamma_i, the cost is
+    at most 2 * (H_|T| - 1) * LB, and LB <= OPT. Proof sketch. Round i
+    merges m_i >= 2 trees and pays at most m_i * gamma_i <= m_i * LB / k_i
+    <= 2 * LB * (m_i - 1) / k_i, which is at most 2 * LB times the sum of
+    1/j over k_i - m_i + 2 <= j <= k_i; since k_{i+1} = k_i - m_i + 1 these
+    sums telescope to H_|T| - 1. For the bound on OPT, root an optimal
+    tree at a current root of top demand, mark the k_i roots, demote it
+    and cut it into vertex-disjoint spiders (``spider_decompose``), each
+    holding s >= 2 roots. Round i's weights are at most the costs, and a
+    vertex at grade t pays at least its grade-t weight. A spider's legs
+    keep at least their roots' demands and its root path at least its
+    center's grade, so it pays at least the numerator of one merge of its
+    s roots through its center that the scan scores: at the highest demand
+    among them, or, when its root path leads to a root demanding more than
+    its center's grade, at the highest demand of the others with that root
+    outside. So each spider pays at least s * gamma_i, and OPT >= k_i * gamma_i.
     """
     forest = init_forest(instance)
     records: list[IterationRecord] = []

@@ -184,12 +184,18 @@ def check_grt(
     Returns the offending root-to-vertex path on failure (first one found
     in breadth-first order).
     """
-    parent, children, order = _build_rooted(tree_edges, root)
+    path = _grade_rise(*_build_rooted(tree_edges, root), y, root)
+    return path is None, path
+
+
+def _grade_rise(parent, children, order, y, root) -> tuple[int, ...] | None:
+    """``check_grt``'s test on a tree already rooted by ``_build_rooted``:
+    the first root-to-vertex path, in that order, whose grade rises."""
     for v in order:
         for u in children[v]:
             if y[u] > y[v]:
-                return False, _climb(parent, u, root)[::-1]
-    return True, None
+                return _climb(parent, u, root)[::-1]
+    return None
 
 
 def _subtree_demand(
@@ -223,10 +229,10 @@ def m_optimize(
     marked_set = set(marked)
     if root not in marked_set:
         raise InputError("the root must belong to the marked set")
-    ok, path = check_grt(instance, tree_edges, y, root)
-    if not ok:
+    parent, children, order = _build_rooted(tree_edges, root)
+    path = _grade_rise(parent, children, order, y, root)
+    if path is not None:
         raise InputError(f"input tree is not grade-respecting: path {path}")
-    _parent, children, order = _build_rooted(tree_edges, root)
     off_tree = marked_set.difference(order)
     if off_tree:
         raise InputError(f"marked vertices not on the tree: {sorted(off_tree)}")

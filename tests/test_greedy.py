@@ -28,6 +28,8 @@ from vgsst import (
     solution_cost,
     solve_greedy,
 )
+from vgsst import greedy
+from vgsst.costs import parse_fraction
 from vgsst.io import solution_to_json
 from vgsst.instance import spanning_tree_by_levels
 
@@ -471,6 +473,67 @@ def test_corrupted_cached_row_is_caught(fig3):
         select_global_candidate(forest)
 
 
+def test_winner_path_matches_the_full_dijkstra(fig3):
+    # The Dijkstra stopped at the center must rebuild the full run's path,
+    # tie-breaks included, from every filled row to every center (the
+    # row's own root too): after the first scan and after each merge.
+    for inst in mixed_corpus(40, seed0=5800) + [fig3]:
+        forest = init_forest(inst)
+        select_global_candidate(forest)  # fills every row
+        while True:
+            for source, g in forest.rows:
+                full = graded_shortest_paths(forest, source, g)
+                for center in range(inst.num_vertices):
+                    assert greedy._winner_path(forest, source, g, center) == full.path_to(
+                        center
+                    ), (source, g, center)
+            if len(forest) == 1:
+                break
+            apply_merge(forest, select_global_candidate(forest))
+
+
+def test_row_check_needs_the_tight_reachability_clause():
+    # Path 0-1-2-3 with terminals 0 and 3; only vertex 1 costs anything.
+    # Root 0's row ends in the zero-weight pair 2, 3. Lowering both entries
+    # by 1 keeps row[0] == 0 and every arc feasible, but leaves 2 and 3
+    # unreached over tight arcs.
+    inst = Instance.build(4, [(0, 1), (1, 2), (2, 3)], 1, {0: 1, 3: 1}, [[0], [5], [0], [0]])
+    forest = init_forest(inst)
+    assert select_global_candidate(forest).root == 0
+    row = forest.rows[(0, 1)]
+    assert row == [0, 0, 5 * COST_SCALE, 5 * COST_SCALE]
+    row[2] -= 1
+    row[3] -= 1
+    w = forest.w[0][:]
+    w[0] = 0
+    adjacency = inst.adjacency
+    assert row[0] == 0 and all(
+        row[x] <= row[u] + w[u] for u in range(inst.num_vertices) for x in adjacency[u]
+    )
+    assert not greedy._row_is_exact(row, w, adjacency, 0)
+    with pytest.raises(InternalInvariantError, match="stale"):
+        select_global_candidate(forest)
+
+
+def test_winner_paths_run_no_full_dijkstra(monkeypatch, fig3):
+    # One fill per (root, grade) in the first scan; the winners' paths and
+    # the repairs after each merge add none.
+    calls = []
+    full = greedy.graded_shortest_paths
+    monkeypatch.setattr(
+        greedy, "graded_shortest_paths", lambda *args: calls.append(1) or full(*args)
+    )
+    corpus = [fig3] + [
+        random_instance(n, levels, seed=seed, edge_prob=6 / n, terminal_fraction=0.3)
+        for n, levels, seed in ((30, 2, 1), (30, 3, 2), (60, 3, 1), (90, 2, 3))
+    ]
+    for inst in corpus:
+        calls.clear()
+        report = solve_greedy(inst)
+        assert len(report.iterations) > 1
+        assert len(calls) == sum(inst.required[t] for t in inst.terminals)
+
+
 def _textbook_dijkstra(inst, weights, source):
     """Reference: path weights excluding the source and including the
     target, ``(dist, vertex)`` heap entries, strict improvement only.
@@ -568,6 +631,40 @@ def test_greedy_matches_pinned_records():
         if uniform:
             inst = _uniform_ladders(inst)
         assert _exact(solution_to_json(solve_greedy(inst))) == expected, (n, levels, seed, uniform)
+
+
+def _greedy_lower_bound(num_terminals, iterations):
+    """LB_g = max over rounds i of k_i * gamma_i, k_i the trees before
+    round i, and the harmonic number H_{|T|} - 1, both exact."""
+    trees, bound = num_terminals, Fraction(0)
+    for gamma, merged in iterations:
+        bound = max(bound, trees * gamma)
+        trees -= merged - 1
+    assert trees == 1
+    return bound, sum(Fraction(1, j) for j in range(2, num_terminals + 1))
+
+
+def test_pinned_costs_within_the_per_round_bound():
+    # cost <= 2 * (H_|T| - 1) * LB_g, from the pinned records alone.
+    with open(GOLDEN_RECORDS, encoding="utf-8") as fh:
+        golden = _exact(fh.read())
+    for key, entry in golden.items():
+        iterations = [(parse_fraction(r["gamma"]), r["merged_count"]) for r in entry["iterations"]]
+        terminals = 1 + sum(merged - 1 for _, merged in iterations)
+        bound, harmonic = _greedy_lower_bound(terminals, iterations)
+        assert Cost.parse(entry["cost"]).as_fraction() <= 2 * harmonic * bound, key
+
+
+def test_per_round_bound_is_below_the_optimum(fig2, fig3, ratio_corpus, ratio_corpus_optima):
+    cases = list(zip(ratio_corpus, ratio_corpus_optima))
+    cases += [(inst, brute_force_optimum(inst)) for inst in [fig3] + [fig2(L) for L in (2, 3, 4)]]
+    for inst, optimum in cases:
+        report = solve_greedy(inst)
+        bound, harmonic = _greedy_lower_bound(
+            len(inst.terminals), [(r.gamma, r.merged_count) for r in report.iterations]
+        )
+        assert bound <= optimum.total_cost.as_fraction(), inst
+        assert report.total_cost.as_fraction() <= 2 * harmonic * bound, inst
 
 
 # ---------------------------------------------------------------------------

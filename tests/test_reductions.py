@@ -424,8 +424,8 @@ def test_decomposition_matches_pinned_large_trees():
         assert {"spiders": len(result.spiders), "sha256": digest} == expected, (n, seed, span)
 
 
-def test_decomposition_roots_the_tree_three_times(monkeypatch):
-    # Twice in the entry check's m_optimize and once for the sweep,
+def test_decomposition_roots_the_tree_twice(monkeypatch):
+    # Once in the entry check's m_optimize and once for the sweep,
     # whatever the number of spiders.
     calls = []
     build = reductions._build_rooted
@@ -436,4 +436,4 @@ def test_decomposition_roots_the_tree_three_times(monkeypatch):
         args = _large_grt(n, seed, span)
         calls.clear()
         spider_decompose(*args)
-        assert len(calls) == 3, (n, seed, span)
+        assert len(calls) == 2, (n, seed, span)
