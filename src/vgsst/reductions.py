@@ -281,22 +281,21 @@ class RootedSpiderDecomposition(_Record):
         self.__dict__.update(spiders=spiders, grades=grades)
 
 
-def _assert_spider_shape(children: dict[int, list[int]], center: int, nodes: set[int]):
-    for v in nodes:
-        if v != center and len(children[v]) > 1:
-            raise InternalInvariantError(
-                f"vertex {v} branches although {center} was chosen deepest"
-            )
-
-
-def _leaf_paths(children: dict[int, list[int]], center: int) -> list[tuple[int, ...]]:
-    """Center-to-leaf paths of a spider-shaped subtree, leaves sorted."""
+def _leaf_paths(
+    children: dict[int, list[int]], count: Mapping[int, int], center: int
+) -> list[tuple[int, ...]]:
+    """Center-to-leaf paths down the live children (``count`` nonzero) of
+    ``center``, leaves sorted. Their union is the spider's live subtree;
+    a vertex below the center with two live children raises
+    ``InternalInvariantError``, since the center was not the deepest."""
     paths = []
-    for first in children[center]:
-        path = [center, first]
-        while children[path[-1]]:
-            (nxt,) = children[path[-1]]
-            path.append(nxt)
+    for path in ([center, u] for u in children[center] if count[u]):
+        while live := [u for u in children[path[-1]] if count[u]]:
+            if len(live) > 1:
+                raise InternalInvariantError(
+                    f"vertex {path[-1]} branches although {center} was chosen deepest"
+                )
+            path.append(live[0])
         paths.append(tuple(path))
     return sorted(paths, key=lambda p: p[-1])
 
@@ -316,9 +315,16 @@ def spider_decompose(
     descendant of equal grade (which exists because the tree is demoted).
     When only the root remains marked outside, the final spider absorbs the
     root-to-center path. Pruning and re-demoting the remainder after a
-    spider only lowers marked counts, and changes grades only on the
-    center's ancestors, which come later in deepest-first order; so one
-    sweep over the tree, rooted once, finds every spider.
+    spider changes marked counts and grades only on the center's
+    ancestors, which come later in deepest-first order; so one sweep over
+    the tree, rooted once, finds every spider and settles each vertex at
+    its visit. Its descendants, being deeper, are settled already: its
+    count of uncarved marked vertices is its own mark plus its children's
+    counts (0 for a carved child), and an unmarked vertex's re-demoted
+    grade is the largest among its children with a nonzero count, or 0 if
+    there are none. After the last spider the sweep goes on settling
+    without carving, so ``grades`` holds the re-demotion every vertex had
+    when the last spider was cut.
     """
     marked_set = set(marked)
     if len(marked_set) < 2:
@@ -332,21 +338,22 @@ def spider_decompose(
 
     parent, children, order = _build_rooted(edges, root)
     depth = {root: 0}
-    count = {v: int(v in marked_set) for v in order}  # uncarved marked in each subtree
     for v in order[1:]:
         depth[v] = depth[parent[v]] + 1
-    for v in reversed(order[1:]):
-        count[parent[v]] += count[v]
+    count: dict[int, int] = {}  # uncarved marked vertices in each settled subtree
+    left = len(marked_set)  # marked vertices in no spider yet
     grades = list(y)
     spiders: list[Spider] = []
     for center in sorted(order, key=lambda v: (-depth[v], v)):
-        if count[center] < 2:
+        live = [u for u in children[center] if count[u]]
+        count[center] = int(center in marked_set) + sum(count[u] for u in live)
+        if center not in marked_set:
+            grades[center] = max((grades[u] for u in live), default=0)
+        if count[center] < 2 or not left:
             continue
-        members, live = [center], {}
-        for v in members:
-            live[v] = [u for u in children[v] if count[u]]
-            members.extend(live[v])
-        last = center == root or count[root] - count[center] == 1
+        paths = _leaf_paths(children, count, center)
+        members = set().union(*paths)
+        last = left - count[center] < 2  # nothing but the root left outside
         if last:
             spider_root = root
             root_path = _climb(parent, center, root)
@@ -363,29 +370,21 @@ def spider_decompose(
                 )
             spider_root = equals[0]
             root_path = _climb(parent, spider_root, center)[::-1]
-        _assert_spider_shape(live, center, set(members))
-        node_set = set(members) | set(root_path)
+        node_set = members | set(root_path)
         spiders.append(
             Spider(
                 root=spider_root,
                 center=center,
                 root_path=root_path,
-                legs=tuple(p for p in _leaf_paths(live, center) if p[-1] != spider_root),
+                legs=tuple(p for p in paths if p[-1] != spider_root),
                 members=frozenset(node_set),
                 feet=tuple(sorted((node_set & marked_set) - {spider_root})),
             )
         )
         if last:
-            break
-
-        carved = count[center]
-        for v in members:
-            count[v] = 0
-        for v in _climb(parent, center, root)[1:]:
-            count[v] -= carved
-            if not count[v]:
-                grades[v] = 0
-            elif v not in marked_set:
-                grades[v] = max(grades[u] for u in children[v] if count[u])
+            left = 0
+        else:
+            left -= count[center]
+            count[center] = 0  # carved; no later walk passes it to the members
 
     return RootedSpiderDecomposition(spiders=tuple(spiders), grades=tuple(grades))

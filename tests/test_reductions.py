@@ -11,6 +11,7 @@ from vgsst import (
     Cost,
     InputError,
     Instance,
+    InternalInvariantError,
     SizeCapError,
     brute_force_dst,
     brute_force_optimum,
@@ -437,3 +438,34 @@ def test_decomposition_roots_the_tree_twice(monkeypatch):
         calls.clear()
         spider_decompose(*args)
         assert len(calls) == 2, (n, seed, span)
+
+
+def test_decomposition_climbs_each_vertex_at_most_once(monkeypatch):
+    # The vertices on every path _climb returns, summed over one
+    # decomposition, stay within n: each climb runs inside one spider. A
+    # path with 450 spiders and a random tree, both on 3,000 vertices.
+    climbed = []
+    climb = reductions._climb
+
+    def counting_climb(*args):
+        path = climb(*args)
+        climbed.append(len(path))
+        return path
+
+    monkeypatch.setattr(reductions, "_climb", counting_climb)
+    for n, seed, span in ((3000, 14, 1), (3000, 11, 0)):
+        args = _large_grt(n, seed, span)
+        climbed.clear()
+        spider_decompose(*args)
+        assert sum(climbed) <= n, (n, seed, span, sum(climbed))
+
+
+def test_leg_walk_refuses_a_branch_below_the_center():
+    # Center 0 has live children 1 and 4; vertex 1 has two live children,
+    # 2 and 3, so 0 was not the deepest vertex with two marked below.
+    children = {0: [1, 4], 1: [2, 3], 2: [], 3: [], 4: [5], 5: []}
+    count = {0: 4, 1: 2, 2: 1, 3: 1, 4: 1, 5: 0}
+    with pytest.raises(InternalInvariantError, match="vertex 1 branches although 0"):
+        reductions._leaf_paths(children, count, 0)
+    count[3] = 0
+    assert reductions._leaf_paths(children, count, 0) == [(0, 1, 2), (0, 4)]
