@@ -11,22 +11,22 @@ raise could repair it and generates no child beyond it; a pruned child
 heads a subtree of infeasible points only (see ``_scan_lattice``).
 
 The cut model stores only what its rows derive from: the neighbour
-masks and, per grade, the terminals demanding it. Its ``CutRow``
-objects are built on first access to ``IlpModel.cuts``, for export and
-inspection; the solve never builds them. It gathers the rows'
-neighbourhood masks straight from the subset enumeration and scans only
-the non-dominated ones. A row at grade g' >= g whose neighbourhood is a
-subset of another row's implies that row: the vertex of grade >= g'
-that satisfies it lies in the larger neighbourhood too. Dropping implied
-rows leaves the feasible region, and so the first feasible point of the
-walk, unchanged.
+masks and, per grade, the terminals demanding it. A row's neighbourhood
+is its subset's entry in one table of every subset's boundary.
+``IlpModel.cuts`` builds ``CutRow`` objects from it on first access, for
+export and inspection; the solve builds none and scans only the
+non-dominated distinct masks of each grade. A row at grade g' >= g
+whose neighbourhood is a subset of another row's implies that row: the
+vertex of grade >= g' that satisfies it lies in the larger neighbourhood
+too. Dropping implied rows leaves the feasible region, and so the first
+feasible point of the walk, unchanged.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .costs import Cost, _Record
 from .instance import (
@@ -168,8 +168,9 @@ class IlpModel(_Record):
 
     The model holds what its cut rows derive from: each vertex's
     neighbour mask, and per grade i the mask of the terminals demanding
-    grade i or more. ``cuts`` builds the rows on first access and keeps
-    them; the cache takes no part in equality or hashing.
+    grade i or more. ``cuts`` builds the rows on first access, from the
+    subsets of ``_row_subsets`` and their ``_boundaries`` entries, and
+    keeps them; the cache takes no part in equality or hashing.
     """
 
     def __init__(
@@ -186,18 +187,14 @@ class IlpModel(_Record):
     @cached_property
     def cuts(self) -> tuple[CutRow, ...]:
         """Every cut row, grade ascending, then subset mask ascending."""
-        n = self.num_vertices
+        boundary = _boundaries(self.neighbor_masks)
         # One tuple per distinct boundary, shared by every row that has it.
-        shared: dict[int, tuple[int, ...]] = {}
-        rows = []
-        for grade, subset, boundary in _cut_boundaries(self):
-            neighborhood = shared.get(boundary)
-            if neighborhood is None:
-                neighborhood = shared[boundary] = tuple(
-                    v for v in range(n) if boundary >> v & 1
-                )
-            rows.append(CutRow(grade=grade, subset_mask=subset, neighborhood=neighborhood))
-        return tuple(rows)
+        vertices = range(self.num_vertices)
+        shared = {b: tuple(v for v in vertices if b >> v & 1) for b in set(boundary)}
+        return tuple(
+            CutRow(grade=grade, subset_mask=s, neighborhood=shared[boundary[s]])
+            for grade, subsets in _row_subsets(self).items() for s in subsets
+        )
 
     @property
     def num_variables(self) -> int:
@@ -214,39 +211,36 @@ class IlpModel(_Record):
         return cut_rows + n * (self.grades - 1)
 
 
-def _cut_boundaries(model: IlpModel) -> Iterator[tuple[int, int, int]]:
-    """(grade, subset mask, neighbourhood mask) of every cut row, in
-    ``IlpModel.cuts`` order.
+def _boundaries(neighbor_masks: Sequence[int]) -> list[int]:
+    """``boundary[s]`` for every vertex subset mask ``s``: the vertices
+    outside ``s`` adjacent to one in it: the neighbourhood of every cut
+    row over ``s``. The neighbour-mask unions double per vertex v: the
+    subsets holding v get those without it, with v's mask added."""
+    spread = [0]
+    for nb in neighbor_masks:
+        spread += [x | nb for x in spread]
+    return [x & ~s for s, x in enumerate(spread)]
 
-    A subset gets a grade-i row when it contains at least one but not all
-    of the terminals demanding grade i or more; grades demanded by fewer
-    than two terminals can never produce such a row and are skipped. The
-    row's neighbourhood is the subset's boundary.
-    """
-    n = model.num_vertices
-    # spread[s]: every neighbour of some vertex of s, one DP over subsets.
-    spread = [0] * (1 << n)
-    for subset in range(1, 1 << n):
-        low = subset & -subset
-        spread[subset] = spread[subset ^ low] | model.neighbor_masks[low.bit_length() - 1]
-    for grade, term_mask in enumerate(model.demand_masks, start=1):
-        count = term_mask.bit_count()
-        if count < 2:
-            continue
-        for subset in range(1, 1 << n):
-            inside = (subset & term_mask).bit_count()
-            if inside == 0 or inside == count:
-                continue
-            yield grade, subset, spread[subset] & ~subset
+
+def _row_subsets(model: IlpModel) -> dict[int, list[int]]:
+    """Per grade i, ascending, its cut rows' subset masks, ascending: the
+    subsets holding some but not all of the terminals demanding grade i or
+    more. A grade demanded by fewer than two terminals has no entry."""
+    every = range(1 << model.num_vertices)
+    return {
+        grade: [s for s in every if 0 < s & term_mask != term_mask]
+        for grade, term_mask in enumerate(model.demand_masks, start=1)
+        if term_mask.bit_count() >= 2
+    }
 
 
 def build_ilp(instance: Instance, limit: int = 15) -> IlpModel:
     """The cut model of ``instance``: objective increments, neighbour
     masks and per-grade demand masks.
 
-    Refuses instances beyond ``limit`` vertices. The cut rows themselves
-    are enumerated over every vertex subset, per grade, only when
-    ``IlpModel.cuts`` is first read.
+    Refuses instances beyond ``limit`` vertices. Nothing is enumerated
+    here: the boundary table and the rows are built by the first read of
+    ``IlpModel.cuts`` and by each solve.
     """
     assert_valid(instance, structural_only=True)
     n = instance.num_vertices
@@ -361,10 +355,10 @@ def solve_ilp_by_enumeration(model: IlpModel, cap: int = 24) -> IlpSolution:
     cut is optimal. The scan checks only the non-dominated cut rows (see
     ``_minimal_rows``): each dropped row is implied by a kept one, so the
     feasible region, and with it the first feasible point, is unchanged.
-    The row masks come straight from ``_cut_boundaries``; no ``CutRow``
-    is built. A failed row (g, M) is repaired only by raising a vertex
-    of M, so the walk is pruned at the smallest top vertex of M among
-    the failed rows.
+    Each grade's distinct row masks are read from the ``_boundaries``
+    table at its ``_row_subsets``; no ``CutRow`` is built. A failed row
+    (g, M) is repaired only by raising a vertex of M, so the walk is
+    pruned at the smallest top vertex of M among the failed rows.
     """
     if model.num_variables > cap:
         raise SizeCapError(
@@ -372,9 +366,10 @@ def solve_ilp_by_enumeration(model: IlpModel, cap: int = 24) -> IlpSolution:
         )
     ranges = [(0, model.grades)] * model.num_vertices
 
-    masks_by_grade: dict[int, set[int]] = {}
-    for grade, _, boundary in _cut_boundaries(model):
-        masks_by_grade.setdefault(grade, set()).add(boundary)
+    boundary = _boundaries(model.neighbor_masks)
+    masks_by_grade = {
+        grade: {boundary[s] for s in subsets} for grade, subsets in _row_subsets(model).items()
+    }
     checks = [
         (grade, mask, mask.bit_length() - 1) for grade, mask in _minimal_rows(masks_by_grade)
     ]

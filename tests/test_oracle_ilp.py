@@ -30,9 +30,11 @@ from vgsst import (
 
 from vgsst.oracle import (
     _assignment_ranges,
+    _boundaries,
     _cost_tables,
     _minimal_rows,
     _objective_tables,
+    _row_subsets,
     _scan_lattice,
 )
 
@@ -360,3 +362,52 @@ def test_models_match_pinned_rows_lp_and_optima():
             "objective": solution.objective.as_decimal_str(),
         } == expected, (n, levels, seed)
         assert model.num_constraints == len(model.cuts) + n * (levels - 1)
+
+
+def test_boundary_table_and_row_subsets_match_the_definitions(monkeypatch):
+    # The table and the row lists against their definitions, computed
+    # vertex by vertex from the instance; the solve's per-grade mask sets
+    # against those folded from the model's built rows.
+    folded = []
+    monkeypatch.setattr(
+        vgsst.oracle, "_minimal_rows", lambda masks: folded.append(masks) or _minimal_rows(masks)
+    )
+    pinned = [
+        random_instance(n, levels, seed=seed, edge_prob=0.4, terminal_fraction=0.4)
+        for n, levels in MODEL_RUNGS
+        for seed in (1, 2)
+    ]
+    lone = Instance.build(3, [(0, 1), (1, 2)], 2, {0: 2, 2: 1}, [[0, 0], [1, 2], [0, 1]])
+    lone_grades = 0
+    for inst in pinned + mixed_corpus(36, seed0=7500, max_n=8, max_levels=3) + [lone]:
+        model = build_ilp(inst)
+        n = inst.num_vertices
+        adjacent = [set() for _ in range(n)]
+        for u, v in inst.edges:
+            adjacent[u].add(v)
+            adjacent[v].add(u)
+        boundary = _boundaries(model.neighbor_masks)
+        assert len(boundary) == 1 << n
+        for s, mask in enumerate(boundary):
+            members = {v for v in range(n) if s >> v & 1}
+            outside = set().union(*(adjacent[v] for v in members)) - members
+            assert mask == sum(1 << v for v in outside), (s, mask)
+
+        rows = _row_subsets(model)
+        assert list(rows) == sorted(rows)
+        for grade in range(1, inst.grades + 1):
+            demanders = {v for v, floor in inst.required.items() if floor >= grade}
+            if len(demanders) < 2:
+                lone_grades += 1
+                assert grade not in rows, grade
+                continue
+            held = lambda s: sum(s >> v & 1 for v in demanders)
+            assert rows[grade] == [s for s in range(1 << n) if 0 < held(s) < len(demanders)]
+
+        folded.clear()
+        solve_ilp_by_enumeration(model)
+        by_grade = {}
+        for cut in model.cuts:
+            by_grade.setdefault(cut.grade, set()).add(sum(1 << v for v in cut.neighborhood))
+        assert folded == [by_grade]
+    assert lone_grades
