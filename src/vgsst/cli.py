@@ -29,7 +29,7 @@ from .instance import (
     VstContractError,
     _check_assignment,
     _edge_masks,
-    _reach,
+    _grade_reach,
     assert_valid,
     canon_edge,
     check_feasible,
@@ -83,7 +83,6 @@ def _solve_instance(instance: Instance, algorithm: str) -> SolutionReport:
 
 def _solve_one_file(task: tuple[str, Instance, str, str]) -> tuple[Cost, str]:
     path, instance, algorithm, out_path = task
-    assert_valid(instance, structural_only=True)
     report = _solve_instance(instance, algorithm)
     write_atomic(out_path, solution_to_json(report))
     line = f"{path}: cost {report.total_cost} iterations {len(report.iterations)}"
@@ -102,9 +101,11 @@ def cmd_solve(args) -> int:
         raise InputError(f"--output takes a single input, got {len(args.input)} inputs")
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    # Every input is parsed once, here, and refused beyond the oracle's
-    # caps before anything is solved.
+    # Every input is parsed and validated once, here, and refused beyond
+    # the oracle's caps before anything is solved or written.
     instances = [read_instance(path) for path in args.input]
+    for instance in instances:
+        assert_valid(instance, structural_only=True)
     if args.ratio or args.algorithm == "exact":
         from . import oracle
 
@@ -218,12 +219,15 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _tree_failures(instance: Instance, report: SolutionReport) -> list[str]:
+def _tree_failures(instance: Instance, report: SolutionReport, root: int | None) -> list[str]:
     """Check that the tree edges certify the assignment.
 
     They must be instance edges forming a spanning tree of the bought
     vertices, and for every grade i the edges between vertices of grade i
-    or more must join every terminal demanding i or more.
+    or more must join every terminal demanding i or more. Given a merge
+    ``root``, grades must not rise along tree paths away from it: at each
+    grade i up to the top, y[root] >= i and the root reaches every vertex
+    of grade i or more over the edges between such vertices.
     """
     edges = set(instance.edges)
     for u, v in report.tree_edges:
@@ -239,21 +243,27 @@ def _tree_failures(instance: Instance, report: SolutionReport) -> list[str]:
     tree_masks = _edge_masks(instance.num_vertices, report.tree_edges)
     failures = []
     for grade, need in enumerate(instance._demand_masks, start=1):
-        level = sum(1 << v for v, g in enumerate(y) if g >= grade)
         if grade == 1:
             need |= support
         if not need:
             continue
-        apart = need & ~_reach(tree_masks, level, (need & -need).bit_length() - 1)
+        apart = need & ~_grade_reach(tree_masks, y, grade, (need & -need).bit_length() - 1)[1]
         if apart:
             vertex = (apart & -apart).bit_length() - 1
             failures.append(f"grade-{grade} tree edges do not reach vertex {vertex}")
-    return failures
+    if root is None or failures:
+        return failures
+    if y[root] < 1:
+        return [f"merge root {root} is not a bought vertex"]
+    for grade in range(1, max(y) + 1):
+        level, reached = _grade_reach(tree_masks, y, grade, root)
+        if y[root] < grade or level & ~reached:
+            return [f"grades increase away from root {root} at grade {grade}"]
+    return []
 
 
 def cmd_verify(args) -> int:
     from . import oracle
-    from .reductions import check_grt
 
     instance = read_instance(args.instance)
     assert_valid(instance, structural_only=True)
@@ -276,15 +286,8 @@ def cmd_verify(args) -> int:
             failures.append(
                 f"grade-{witness.grade} witness pair {witness.pair} disconnected"
             )
-    failures.extend(_tree_failures(instance, report))
-    if root is not None and not failures:
-        # The tree spans exactly the bought vertices, so a bought root is on it.
-        if report.assignment[root] < 1:
-            failures.append(f"merge root {root} is not a bought vertex")
-        else:
-            grt_ok, path = check_grt(instance, report.tree_edges, report.assignment, root)
-            if not grt_ok:
-                failures.append(f"grades increase away from root {root} along {path}")
+    # The merge root is checked only on an otherwise valid certificate.
+    failures.extend(_tree_failures(instance, report, None if failures else root))
 
     if failures:
         for f in failures:

@@ -15,6 +15,9 @@ from decimal import Decimal
 from .costs import COST_SCALE, Cost
 from .instance import InputError, Instance, _edge_masks, _reach
 
+#: Connectivity draws ``random_instance`` makes before giving up.
+_MAX_ATTEMPTS = 300
+
 
 def fig3_instance() -> Instance:
     """Eight vertices, two grades, four terminals; costs proportional to grade.
@@ -96,7 +99,6 @@ def random_instance(
     edge_prob: float = 0.5,
     num_terminals: int | None = None,
     terminal_fraction: float = 0.4,
-    max_attempts: int = 300,
 ) -> Instance:
     """Seeded random connected instance in normalized form.
 
@@ -115,7 +117,7 @@ def random_instance(
     rng = random.Random(seed)
 
     edges: list[tuple[int, int]] = []
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         edges = [
             (u, v)
             for u in range(n)
@@ -127,7 +129,7 @@ def random_instance(
             break
     else:
         raise InputError(
-            f"could not draw a connected graph in {max_attempts} attempts "
+            f"could not draw a connected graph in {_MAX_ATTEMPTS} attempts "
             f"(n={n}, edge_prob={edge_prob})"
         )
 

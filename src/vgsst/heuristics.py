@@ -21,7 +21,6 @@ from .instance import (
     SolutionReport,
     VgsstError,
     VstContractError,
-    _edge_masks,
     _reach,
     assert_valid,
     check_feasible,
@@ -30,7 +29,7 @@ from .instance import (
     solution_cost,
     spanning_tree_by_levels,
 )
-from .reductions import _build_rooted, _subtree_demand
+from .reductions import _build_rooted, _demote, _subtree_demand
 
 #: Contract for the single-grade subroutine: takes a one-grade instance
 #: (every terminal requiring grade 1) and returns a vertex set that
@@ -69,9 +68,8 @@ def _check_vst_result(view: Instance, result: frozenset[int]) -> None:
         raise VstContractError(f"subroutine result misses terminals {sorted(missing)}")
     if not result:
         raise VstContractError("subroutine returned an empty set")
-    n = view.num_vertices
-    chosen = sum(1 << v for v in result if 0 <= v < n)
-    reached = _reach(_edge_masks(n, view.edges), chosen, view.terminals[0])
+    chosen = sum(1 << v for v in result if 0 <= v < view.num_vertices)
+    reached = _reach(view._neighbor_masks, chosen, view.terminals[0])
     if chosen.bit_count() != len(result) or reached != chosen:
         raise VstContractError("subroutine result does not induce a connected subgraph")
 
@@ -152,18 +150,12 @@ def solve_bottomup(instance: Instance, vst: VstSubroutine) -> SolutionReport:
     edges = spanning_tree_by_levels(instance, indicator)
     root = min(v for v in instance.terminals if instance.required[v] == instance.grades)
 
-    # Highest requirement in each subtree; -1 marks a terminal-free branch.
     _parent, children, order = _build_rooted(edges, root)
-    demand = _subtree_demand(order, children, instance.required, set(instance.terminals))
-    y = [0] * instance.num_vertices
-    for v in order:
-        y[v] = max(demand[v], 0)
-    assignment = tuple(y)
+    demand = _subtree_demand(order, children, instance.required)
+    tree, assignment = _demote(edges, demand, [0] * instance.num_vertices)
     ok, witness = check_feasible(instance, assignment)
     if not ok:
         raise InternalInvariantError(f"bottom-up result infeasible: {witness}")
-    kept = {v for v in order if demand[v] >= 0}
-    tree = tuple(sorted((u, v) for u, v in edges if u in kept and v in kept))
     return SolutionReport(
         assignment=assignment,
         tree_edges=tree,

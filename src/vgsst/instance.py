@@ -56,8 +56,7 @@ class Instance(_Record):
     required: terminal -> required grade in {1..grades}.
     costs: per vertex, a ladder (c_1, ..., c_grades) of Cost values.
 
-    ``adjacency``, ``terminals`` and ``_demand_masks`` are computed on
-    first access and kept outside equality.
+    The cached properties are computed on first access, outside equality.
     """
 
     def __init__(
@@ -122,6 +121,16 @@ class Instance(_Record):
         """``[i - 1]``: bitmask of the terminals demanding grade i or more."""
         req = self.required.items()
         return tuple(sum(1 << t for t, r in req if r >= i) for i in range(1, self.grades + 1))
+
+    @cached_property
+    def _grade_needs(self) -> tuple[tuple[int, int, int], ...]:
+        """(grade, demand mask, lowest demanding terminal) per grade two or more demand."""
+        masks = enumerate(self._demand_masks, start=1)
+        return tuple((i, m, (m & -m).bit_length() - 1) for i, m in masks if m.bit_count() >= 2)
+
+    @cached_property
+    def _neighbor_masks(self) -> tuple[int, ...]:
+        return tuple(_edge_masks(self.num_vertices, self.edges))
 
     def cost_of(self, v: int, grade: int) -> Cost:
         """c_grade(v) with grade 0 defined as free."""
@@ -191,6 +200,15 @@ def _reach(adj_masks: Sequence[int], level: int, start: int) -> int:
     return reached
 
 
+def _grade_reach(masks: Sequence[int], y: Sequence[int], grade: int, start: int):
+    """The one per-grade test: bitmasks of ``{v : y[v] >= grade}`` and what ``start`` reaches."""
+    level = 0
+    for v, g in enumerate(y):
+        if g >= grade:
+            level |= 1 << v
+    return level, _reach(masks, level, start)
+
+
 def validate(instance: Instance, structural_only: bool = False) -> list[Violation]:
     """Check instance invariants; returns violations instead of raising.
 
@@ -207,7 +225,7 @@ def validate(instance: Instance, structural_only: bool = False) -> list[Violatio
             out.append(Violation("duplicate-edge", (u, v), "multigraphs are rejected"))
         seen.add((u, v))
     full = (1 << instance.num_vertices) - 1
-    if _reach(_edge_masks(instance.num_vertices, instance.edges), full, 0) != full:
+    if _reach(instance._neighbor_masks, full, 0) != full:
         out.append(Violation("connectivity", None, "graph is not connected"))
     for v, ladder in enumerate(instance.costs):
         for i in range(1, instance.grades):
@@ -434,15 +452,10 @@ def check_feasible(
         if y[v] < instance.required[v]:
             return False, FeasibilityWitness(kind="requirement", vertex=v)
 
-    adj_masks = _edge_masks(instance.num_vertices, instance.edges)
-    for grade, need in enumerate(instance._demand_masks, start=1):
-        if need.bit_count() < 2:
-            continue
-        level = sum(1 << v for v, g in enumerate(y) if g >= grade)
-        start = (need & -need).bit_length() - 1
+    for grade, need, start in instance._grade_needs:
         # Every needed terminal is in the level set, so the lexicographically
         # smallest separated pair starts at the smallest needed terminal.
-        apart = need & ~_reach(adj_masks, level, start)
+        apart = need & ~_grade_reach(instance._neighbor_masks, y, grade, start)[1]
         if apart:
             return False, FeasibilityWitness(
                 kind="disconnected", grade=grade, pair=(start, (apart & -apart).bit_length() - 1)
@@ -462,25 +475,16 @@ def feasibility_tester(instance: Instance):
     sits below that grade, and every path out of the component crosses
     the boundary, so no raise right of that vertex joins the terminals.
     """
-    n = instance.num_vertices
-    adj_masks = _edge_masks(n, instance.edges)
+    adj_masks = instance._neighbor_masks
     floors = [(v, instance.required[v]) for v in instance.terminals]
-    grade_needs = [  # (grade, need mask, start vertex), top grade first
-        (grade, need, (need & -need).bit_length() - 1)
-        for grade, need in reversed(list(enumerate(instance._demand_masks, start=1)))
-        if need.bit_count() >= 2
-    ]
+    grade_needs = instance._grade_needs[::-1]  # top grade first
 
     def violated(y: Sequence[int]) -> int | None:
         for v, r in floors:
             if y[v] < r:
                 return v
         for grade, need, start in grade_needs:
-            level = 0
-            for v in range(n):
-                if y[v] >= grade:
-                    level |= 1 << v
-            reached = _reach(adj_masks, level, start)
+            reached = _grade_reach(adj_masks, y, grade, start)[1]
             if need & ~reached:
                 spread = 0
                 rest = reached

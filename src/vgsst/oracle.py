@@ -35,7 +35,6 @@ from .instance import (
     InternalInvariantError,
     SizeCapError,
     SolutionReport,
-    _edge_masks,
     assert_valid,
     extract_tree,
     feasibility_tester,
@@ -257,7 +256,7 @@ def build_ilp(instance: Instance, limit: int = 15) -> IlpModel:
         num_vertices=n,
         grades=instance.grades,
         objective=objective,
-        neighbor_masks=tuple(_edge_masks(n, instance.edges)),
+        neighbor_masks=instance._neighbor_masks,
         demand_masks=instance._demand_masks,
     )
 

@@ -201,15 +201,39 @@ def _grade_rise(parent, children, order, y, root) -> tuple[int, ...] | None:
 def _subtree_demand(
     order: Sequence[int],
     children: dict[int, list[int]],
-    y: Sequence[int] | Mapping[int, int],
-    marked: set[int],
+    marked: Mapping[int, int],
 ) -> dict[int, int]:
-    """Highest marked grade in each subtree; -1 where no marked vertex."""
-    demand = {v: (y[v] if v in marked else -1) for v in order}
+    """Highest grade in ``marked`` (vertex -> grade) per subtree; -1 if none."""
+    demand = {v: marked.get(v, -1) for v in order}
     for v in reversed(order):
         for u in children[v]:
             demand[v] = max(demand[v], demand[u])
     return demand
+
+
+def _demote(tree_edges: Sequence[Edge], demand: Mapping[int, int], y: Sequence[int]):
+    """The one demotion pass: each tree vertex takes its ``_subtree_demand``,
+    0 for none, and only edges between vertices of some demand are kept."""
+    new_y = list(y)
+    for v, d in demand.items():
+        new_y[v] = max(d, 0)
+    edges = tuple(sorted((u, v) for u, v in tree_edges if min(demand[u], demand[v]) >= 0))
+    return edges, tuple(new_y)
+
+
+def _root_marked(tree_edges: Sequence[Edge], y: GradeAssignment, root: int, marked: set[int]):
+    """``_build_rooted`` plus ``_subtree_demand``, once the root is marked,
+    the tree grade-respecting from it and every marked vertex on it."""
+    if root not in marked:
+        raise InputError("the root must belong to the marked set")
+    parent, children, order = _build_rooted(tree_edges, root)
+    path = _grade_rise(parent, children, order, y, root)
+    if path is not None:
+        raise InputError(f"input tree is not grade-respecting: path {path}")
+    off_tree = marked.difference(order)
+    if off_tree:
+        raise InputError(f"marked vertices not on the tree: {sorted(off_tree)}")
+    return parent, children, order, _subtree_demand(order, children, {v: y[v] for v in marked})
 
 
 def m_optimize(
@@ -226,29 +250,8 @@ def m_optimize(
     vertices keep their grades and must all lie on the tree. The result is
     still grade-respecting and never costs more.
     """
-    marked_set = set(marked)
-    if root not in marked_set:
-        raise InputError("the root must belong to the marked set")
-    parent, children, order = _build_rooted(tree_edges, root)
-    path = _grade_rise(parent, children, order, y, root)
-    if path is not None:
-        raise InputError(f"input tree is not grade-respecting: path {path}")
-    off_tree = marked_set.difference(order)
-    if off_tree:
-        raise InputError(f"marked vertices not on the tree: {sorted(off_tree)}")
-    demand = _subtree_demand(order, children, y, marked_set)
-
-    new_y = list(y)
-    kept = set()
-    for v in order:
-        if demand[v] < 0:
-            new_y[v] = 0
-        else:
-            kept.add(v)
-            if v not in marked_set:
-                new_y[v] = demand[v]
-    edges = tuple(sorted((u, v) for u, v in tree_edges if u in kept and v in kept))
-    return edges, tuple(new_y)
+    *_, demand = _root_marked(tree_edges, y, root, set(marked))
+    return _demote(tree_edges, demand, y)
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +332,10 @@ def spider_decompose(
     marked_set = set(marked)
     if len(marked_set) < 2:
         raise InputError("decomposition needs at least two marked vertices")
-    if root not in marked_set:
-        raise InputError("the root must belong to the marked set")
-    edges, demoted = m_optimize(instance, tree_edges, y, root, marked_set)
-    canonical = {tuple(sorted(e)) for e in edges}
-    if canonical != {tuple(sorted(e)) for e in tree_edges} or tuple(demoted) != tuple(y):
+    parent, children, order, demand = _root_marked(tree_edges, y, root, marked_set)
+    if any(demand[v] != y[v] for v in order):
         raise InputError("input tree is not demoted against the marked set")
 
-    parent, children, order = _build_rooted(edges, root)
     depth = {root: 0}
     for v in order[1:]:
         depth[v] = depth[parent[v]] + 1

@@ -425,9 +425,9 @@ def test_decomposition_matches_pinned_large_trees():
         assert {"spiders": len(result.spiders), "sha256": digest} == expected, (n, seed, span)
 
 
-def test_decomposition_roots_the_tree_twice(monkeypatch):
-    # Once in the entry check's m_optimize and once for the sweep,
-    # whatever the number of spiders.
+def test_decomposition_roots_the_tree_once(monkeypatch):
+    # The entry checks and the sweep share one rooting, whatever the
+    # number of spiders.
     calls = []
     build = reductions._build_rooted
     monkeypatch.setattr(
@@ -437,7 +437,7 @@ def test_decomposition_roots_the_tree_twice(monkeypatch):
         args = _large_grt(n, seed, span)
         calls.clear()
         spider_decompose(*args)
-        assert len(calls) == 2, (n, seed, span)
+        assert len(calls) == 1, (n, seed, span)
 
 
 def test_decomposition_climbs_each_vertex_at_most_once(monkeypatch):
