@@ -36,15 +36,13 @@ from fractions import Fraction
 from .costs import Cost, _Record, ratio
 from .instance import (
     GradeAssignment,
-    InfeasibleAssignmentError,
     InputError,
     Instance,
     InternalInvariantError,
     IterationRecord,
     SolutionReport,
+    _solver_report,
     assert_valid,
-    extract_tree,
-    solution_cost,
 )
 
 
@@ -501,19 +499,5 @@ def solve_greedy(instance: Instance) -> SolutionReport:
     while len(forest) > 1:
         candidate = select_global_candidate(forest)
         records.append(apply_merge(forest, candidate))
-    y = forest.assignment()
-    try:
-        edges = extract_tree(instance, y)
-    except InfeasibleAssignmentError as exc:
-        raise InternalInvariantError(f"greedy produced an infeasible result: {exc}")
     total = Cost.from_micros(sum(r.incurred_cost.micros for r in records))
-    if total != solution_cost(instance, y):
-        raise InternalInvariantError(
-            "iteration costs do not add up to the assignment cost"
-        )
-    return SolutionReport(
-        assignment=y,
-        tree_edges=edges,
-        total_cost=total,
-        iterations=tuple(records),
-    )
+    return _solver_report(instance, forest.assignment(), total, iterations=tuple(records))

@@ -17,16 +17,13 @@ from .costs import Cost
 from .greedy import solve_greedy
 from .instance import (
     Instance,
-    InternalInvariantError,
     SolutionReport,
     VgsstError,
     VstContractError,
     _reach,
+    _solver_report,
     assert_valid,
-    check_feasible,
-    extract_tree,
     normalize,
-    solution_cost,
     spanning_tree_by_levels,
 )
 from .reductions import _build_rooted, _demote, _subtree_demand
@@ -96,6 +93,8 @@ def solve_topdown(instance: Instance, vst: VstSubroutine) -> SolutionReport:
     region built so far (represented by a zero-cost member vertex rather
     than an explicit contraction, keeping vertex ids stable), then assigns
     the round's grade to newly bought vertices. Grades never decrease.
+    The exit certifies the result once, against the sum of the per-grade
+    spends.
     """
     assert_valid(instance)
     n = instance.num_vertices
@@ -120,16 +119,8 @@ def solve_topdown(instance: Instance, vst: VstSubroutine) -> SolutionReport:
         per_grade[grade - 1] = incurred
         spanned |= result
 
-    assignment = tuple(y)
-    ok, witness = check_feasible(instance, assignment)
-    if not ok:
-        raise InternalInvariantError(f"top-down result infeasible: {witness}")
-    return SolutionReport(
-        assignment=assignment,
-        tree_edges=extract_tree(instance, assignment),
-        total_cost=solution_cost(instance, assignment),
-        grade_costs=tuple(per_grade),
-    )
+    total = Cost.from_micros(sum(c.micros for c in per_grade))
+    return _solver_report(instance, y, total, grade_costs=tuple(per_grade))
 
 
 def solve_bottomup(instance: Instance, vst: VstSubroutine) -> SolutionReport:
@@ -139,7 +130,8 @@ def solve_bottomup(instance: Instance, vst: VstSubroutine) -> SolutionReport:
     grade; every vertex then drops to the highest requirement found in
     its subtree (terminal-free branches are pruned). Vertices that sit
     between high-demand terminals cannot demote, which is exactly where
-    this heuristic loses to the merge solver.
+    this heuristic loses to the merge solver. The exit checks the
+    demoted assignment once and keeps the demoted tree.
     """
     assert_valid(instance)
     view = single_grade_view(instance, instance.grades, instance.terminals)
@@ -153,11 +145,4 @@ def solve_bottomup(instance: Instance, vst: VstSubroutine) -> SolutionReport:
     _parent, children, order = _build_rooted(edges, root)
     demand = _subtree_demand(order, children, instance.required)
     tree, assignment = _demote(edges, demand, [0] * instance.num_vertices)
-    ok, witness = check_feasible(instance, assignment)
-    if not ok:
-        raise InternalInvariantError(f"bottom-up result infeasible: {witness}")
-    return SolutionReport(
-        assignment=assignment,
-        tree_edges=tree,
-        total_cost=solution_cost(instance, assignment),
-    )
+    return _solver_report(instance, assignment, tree=tree)

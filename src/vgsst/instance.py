@@ -345,23 +345,8 @@ def denormalize_solution(
     y = list(report.assignment[:n])
     for v in norm.moved:
         y[v] = max(y[v], original.required[v])
-    assignment = tuple(y)
     tree = tuple(e for e in report.tree_edges if e[0] < n and e[1] < n)
-    total = report.total_cost + norm.offset
-    if total != solution_cost(original, assignment):
-        raise InternalInvariantError("offset accounting broke during mapping")
-    ok, witness = check_feasible(original, assignment)
-    if not ok:
-        raise InternalInvariantError(
-            f"mapped solution infeasible on the original instance: {witness}"
-        )
-    return SolutionReport(
-        assignment=assignment,
-        tree_edges=tree,
-        total_cost=total,
-        iterations=(),
-        grade_costs=None,
-    )
+    return _solver_report(original, y, report.total_cost + norm.offset, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -585,3 +570,32 @@ class SolutionReport(_Record):
 
     def _key(self) -> tuple:
         return self._values()[:4]
+
+
+def _solver_report(
+    instance: Instance, y: Sequence[int], total: Cost | None = None,
+    tree: tuple[Edge, ...] | None = None, **telemetry,
+) -> SolutionReport:
+    """The one exit of every solver: certify ``y``, then report it.
+
+    Checks the solver's own ``total``, when it keeps one, against
+    :func:`solution_cost`, and feasibility once: through
+    :func:`extract_tree` when it builds the tree, through
+    :func:`check_feasible` when the solver brings its own ``tree``. A
+    failure here is the solver's bug, not the caller's, so every one
+    raises ``InternalInvariantError``.
+    """
+    y = tuple(y)
+    try:
+        cost = solution_cost(instance, y)
+        if tree is None:
+            tree = extract_tree(instance, y)
+        else:
+            ok, witness = check_feasible(instance, y)
+            if not ok:
+                raise InternalInvariantError(f"solver result is infeasible: {witness}")
+    except (InputError, InfeasibleAssignmentError) as exc:
+        raise InternalInvariantError(f"solver result rejected: {exc}") from exc
+    if total is not None and total != cost:
+        raise InternalInvariantError(f"solver total {total} differs from assignment cost {cost}")
+    return SolutionReport(assignment=y, tree_edges=tree, total_cost=cost, **telemetry)

@@ -35,10 +35,9 @@ from .instance import (
     InternalInvariantError,
     SizeCapError,
     SolutionReport,
+    _solver_report,
     assert_valid,
-    extract_tree,
     feasibility_tester,
-    solution_cost,
 )
 
 #: Hard ceiling on the candidate count for the assignment oracle.
@@ -128,15 +127,7 @@ def brute_force_optimum(instance: Instance, limit: int = 10) -> SolutionReport:
     if found is None:
         raise InternalInvariantError("a connected instance always has a feasible assignment")
     y, cost_micros = found
-    assignment: GradeAssignment = tuple(y)
-    total = Cost.from_micros(cost_micros)
-    if total != solution_cost(instance, assignment):
-        raise InternalInvariantError("oracle cost accounting mismatch")
-    return SolutionReport(
-        assignment=assignment,
-        tree_edges=extract_tree(instance, assignment),
-        total_cost=total,
-    )
+    return _solver_report(instance, y, Cost.from_micros(cost_micros))
 
 
 def exact_vst(view: Instance) -> frozenset[int]:

@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import vgsst
 import vgsst.cli
+import vgsst.instance
 import vgsst.oracle
 from vgsst import (
     Cost,
@@ -46,6 +48,20 @@ def test_solve_greedy_prints_cost(capsys, fig3_file, tmp_path):
     assert "cost 30" in out and "iterations 2" in out
     report = read_solution(out_path)
     assert report.total_cost == Cost.parse(30)
+
+
+@pytest.mark.parametrize("algorithm", ["greedy", "topdown", "bottomup", "exact"])
+def test_solver_exit_failure_exits_3(capsys, fig3_file, tmp_path, monkeypatch, algorithm):
+    # A result that fails its own exit check is a solver bug, whichever
+    # solver made it: exit 3, one line, and no solution file.
+    witness = vgsst.instance.FeasibilityWitness(kind="requirement", vertex=0)
+    monkeypatch.setattr(vgsst.instance, "check_feasible", lambda instance, y: (False, witness))
+    out_path = tmp_path / "sol.json"
+    code, out, err = run(capsys, "solve", "--algorithm", algorithm, fig3_file, "-o", str(out_path))
+    assert code == 3
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert out == ""
+    assert not out_path.exists()
 
 
 def test_solve_exact_hub_chain(capsys, tmp_path):
@@ -210,7 +226,7 @@ def test_gen_random_deterministic(capsys, tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert run(capsys, "gen", "--random", "--n", "9", "--levels", "2", "--seed", "7", "-o", a)[0] == 0
     assert run(capsys, "gen", "--random", "--n", "9", "--levels", "2", "--seed", "7", "-o", b)[0] == 0
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_gen_seed_env_override(capsys, tmp_path, monkeypatch):
@@ -218,7 +234,7 @@ def test_gen_seed_env_override(capsys, tmp_path, monkeypatch):
     run(capsys, "gen", "--random", "--n", "8", "--seed", "1", "-o", a)
     monkeypatch.setenv("VGSST_SEED", "1")
     run(capsys, "gen", "--random", "--n", "8", "--seed", "999", "-o", b)
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 def test_export_lp(capsys, tmp_path):
@@ -649,7 +665,7 @@ def test_malformed_input_exits_2(capsys, fig3_file, tmp_path, monkeypatch, case)
         monkeypatch.setenv(key, value)
     if target == "instance":
         bad = tmp_path / "bad.json"
-        bad.write_text(open(fig3_file).read())
+        bad.write_text(Path(fig3_file).read_text())
         _corrupt(bad, edit)
         if argv == ["verify"]:
             argv = ["verify", str(bad), str(sol_path)]

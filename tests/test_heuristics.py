@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import vgsst.instance
 from vgsst import (
     Cost,
     Instance,
@@ -14,6 +15,8 @@ from vgsst import (
     exact_vst,
     fig2_instance,
     greedy_as_vst,
+    normalize,
+    random_instance,
     single_grade_view,
     solve_bottomup,
     solve_greedy,
@@ -214,3 +217,37 @@ def test_greedy_subroutine_near_optimal_on_corpus():
             assert spanned_cost == 0
         else:
             assert spanned_cost <= 2 * math.log(t) * exact_cost
+
+
+# ---------------------------------------------------------------------------
+# One certified exit
+
+
+def test_each_solver_exit_checks_feasibility_once(monkeypatch):
+    real = vgsst.instance.check_feasible
+    calls = []
+    monkeypatch.setattr(
+        vgsst.instance, "check_feasible", lambda inst, y: calls.append(y) or real(inst, y)
+    )
+    views = []
+
+    def vst(view):
+        views.append(view)
+        return greedy_as_vst(view)
+
+    inst = normalize(random_instance(9, 2, 3)).instance
+    solvers = {
+        "topdown": lambda: solve_topdown(inst, vst),
+        "bottomup": lambda: solve_bottomup(inst, vst),
+        "greedy": lambda: solve_greedy(inst),
+        "exact": lambda: brute_force_optimum(inst),
+    }
+    counts = {}
+    for name, solve in solvers.items():
+        calls.clear()
+        views.clear()
+        solve()
+        # Each subroutine view is one greedy exit; the solver's own exit is one more.
+        assert len(calls) == len(views) + 1, name
+        counts[name] = len(calls)
+    assert counts == {"topdown": 3, "bottomup": 2, "greedy": 1, "exact": 1}

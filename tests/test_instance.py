@@ -9,6 +9,7 @@ from vgsst import (
     InfeasibleAssignmentError,
     InputError,
     Instance,
+    InternalInvariantError,
     brute_force_optimum,
     check_feasible,
     extract_tree,
@@ -16,7 +17,7 @@ from vgsst import (
     solution_cost,
     validate,
 )
-from vgsst.instance import _UnionFind, feasibility_tester
+from vgsst.instance import _solver_report, _UnionFind, feasibility_tester
 
 from conftest import mixed_corpus
 
@@ -244,3 +245,20 @@ def test_extract_tree_paths_respect_pair_demands():
                 assert all(
                     report.assignment[w] >= floor for w in tree_path(a, b)
                 )
+
+
+# ---------------------------------------------------------------------------
+# The solver exit
+
+
+def test_solver_exit_rejects_a_total_off_the_assignment_cost(fig3):
+    total = solution_cost(fig3, FIG3_FINAL) + Cost.parse(1)
+    with pytest.raises(InternalInvariantError, match="differs from assignment cost"):
+        _solver_report(fig3, FIG3_FINAL, total)
+
+
+def test_solver_exit_rejects_a_disconnected_buy():
+    # Feasible (one terminal), but bought vertices 0 and 3 are not joined.
+    inst = Instance.build(4, [(0, 1), (1, 2), (2, 3)], 1, {0: 1}, [[0], [1], [1], [0]])
+    with pytest.raises(InternalInvariantError, match="no single tree spans them"):
+        _solver_report(inst, (1, 0, 0, 1))

@@ -2,15 +2,20 @@
 
 import pytest
 
+import vgsst.instance
 from vgsst import (
     Cost,
     EdgeWeightedInstance,
     InputError,
     Instance,
+    InternalInvariantError,
+    SolutionReport,
     brute_force_optimum,
+    denormalize_solution,
     edge_costs_to_vertex_costs,
     normalize,
     random_instance,
+    solve_greedy,
     validate,
 )
 
@@ -85,6 +90,19 @@ def test_normalize_preserves_optima():
         lhs = brute_force_optimum(original).total_cost
         rhs = brute_force_optimum(result.instance).total_cost + result.offset
         assert lhs == rhs, f"seed {seed}: {lhs} != {rhs}"
+
+
+def test_denormalize_reports_a_broken_mapping_as_internal(monkeypatch):
+    inst = Instance.build(2, [(0, 1)], 1, {0: 1}, [[5], [1]])
+    norm = normalize(inst)
+    report = solve_greedy(norm.instance)
+    assert denormalize_solution(inst, norm, report).total_cost == Cost.parse(5)
+    off = SolutionReport(report.assignment, report.tree_edges, report.total_cost + Cost.parse(1))
+    with pytest.raises(InternalInvariantError, match="differs from assignment cost"):
+        denormalize_solution(inst, norm, off)
+    monkeypatch.setattr(vgsst.instance, "check_feasible", lambda instance, y: (False, None))
+    with pytest.raises(InternalInvariantError, match="infeasible"):
+        denormalize_solution(inst, norm, report)
 
 
 # ---------------------------------------------------------------------------
