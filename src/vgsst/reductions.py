@@ -12,6 +12,8 @@ the remainder, repeat) in one deepest-first sweep over the tree.
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .costs import Cost, _Record
@@ -52,37 +54,56 @@ class DstInstance(_Record):
     def node(self, v: int, grade: int) -> int:
         return (grade - 1) * self.num_graph_vertices + v
 
+    @cached_property
+    def in_arcs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``[h]``: the (tail, cost) of every arc into node h, in arc order.
+
+        On ``reduce_to_dst``'s output, node (v, i) is entered from (u, i)
+        for each neighbour u at c_i(v), and from (v, i + 1) at 0. Raises
+        ``InputError`` for an arc with an endpoint outside
+        0..num_nodes-1 or a negative cost.
+        """
+        n = self.num_nodes
+        into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for arc in self.arcs:
+            tail, head, cost = arc
+            if not (0 <= tail < n and 0 <= head < n):
+                raise InputError(f"arc {arc} has an endpoint outside 0..{n - 1}")
+            if cost < 0:
+                raise InputError(f"arc {arc} has negative cost {cost}")
+            into[head].append((tail, cost))
+        return tuple(map(tuple, into))
+
 
 def reduce_to_dst(instance: Instance) -> DstInstance:
     """Build the layered digraph; root is the smallest-id top-demand terminal."""
     assert_valid(instance)
     n = instance.num_vertices
     levels = instance.grades
-
-    def node(v: int, grade: int) -> int:
-        return (grade - 1) * n + v
+    edges = instance.edges
 
     arcs: list[tuple[int, int, int]] = []
-    for grade in range(1, levels + 1):
-        for u, v in instance.edges:
-            arcs.append((node(u, grade), node(v, grade), instance.costs[v][grade - 1].micros))
-            arcs.append((node(v, grade), node(u, grade), instance.costs[u][grade - 1].micros))
-    for grade in range(2, levels + 1):
-        for v in range(n):
-            arcs.append((node(v, grade), node(v, grade - 1), 0))
+    for layer in range(levels):
+        base = layer * n
+        price = [column[layer].micros for column in instance.costs]
+        for u, v in edges:
+            arcs.append((base + u, base + v, price[v]))
+            arcs.append((base + v, base + u, price[u]))
+    for base in range(n, levels * n, n):
+        arcs.extend([(base + v, base - n + v, 0) for v in range(n)])
 
     root_vertex = min(
         v for v in instance.terminals if instance.required[v] == levels
     )
     terminals = tuple(
-        sorted(node(v, instance.required[v]) for v in instance.terminals)
+        sorted((instance.required[v] - 1) * n + v for v in instance.terminals)
     )
     return DstInstance(
         num_graph_vertices=n,
         grades=levels,
         num_nodes=n * levels,
         arcs=tuple(arcs),
-        root=node(root_vertex, levels),
+        root=(levels - 1) * n + root_vertex,
         terminals=terminals,
     )
 
@@ -97,43 +118,68 @@ def brute_force_dst(dst: DstInstance, cap: int = 14) -> Cost:
     A + B = S; c(v, w) + dp[S][w] over arcs (v, w). This is exact, since an
     optimal arborescence either is v alone, or branches at v into two
     optimal parts that pay v's price once (on the arc into v), or leaves v
-    by one arc. A Dijkstra over the reversed arcs, seeded with the first two
-    terms, resolves the third. Intended for equivalence tests only.
+    by one arc. A Dijkstra over the reversed arcs (``dst.in_arcs``), seeded
+    with the first two terms, resolves the third. Intended for equivalence
+    tests only.
+
+    The lattice holds only the terminals other than the root r: an
+    arborescence rooted at r contains r and pays nothing for it, since no
+    arc into r is bought, so dp[T][r] = dp[T - {r}][r]. That is 2^(k-1) - 1
+    subset Dijkstras for k terminals, r among them, instead of 2^k - 1.
+    Only dp[T - {r}][r] is read from the last subset, so its Dijkstra
+    returns when it pops r: labels pop in non-decreasing order, so r's
+    label is final then. With no terminal other than r the answer is 0.
+
+    Raises ``SizeCapError`` above ``cap`` nodes, and ``InputError`` for a
+    root, terminal or arc endpoint outside 0..num_nodes-1 or a negative
+    arc cost (see ``DstInstance.in_arcs``).
     """
     if dst.num_nodes > cap:
         raise SizeCapError(f"arborescence oracle limited to {cap} nodes, got {dst.num_nodes}")
     n = dst.num_nodes
-    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for tail, head, cost in dst.arcs:
-        into[head].append((tail, cost))
+    root = dst.root
+    for name, node in (("root", root), *(("terminal", t) for t in dst.terminals)):
+        if not 0 <= node < n:
+            raise InputError(f"{name} {node} outside 0..{n - 1}")
+    into = dst.in_arcs
+    others = [t for t in dst.terminals if t != root]
+    if not others:
+        return Cost.zero()
 
     INF = float("inf")
-    full = (1 << len(dst.terminals)) - 1
+    pop, push = heapq.heappop, heapq.heappush
+    full = (1 << len(others)) - 1
     dp: list[list] = [[]] * (full + 1)
     for mask in range(1, full + 1):
-        label: list = [INF] * n
-        if mask & (mask - 1) == 0:
-            label[dst.terminals[mask.bit_length() - 1]] = 0
         low = mask & -mask
-        sub = (mask - 1) & mask
-        while sub:
-            if sub & low:
-                for v, (a, b) in enumerate(zip(dp[sub], dp[mask ^ sub])):
-                    if a + b < label[v]:
-                        label[v] = a + b
-            sub = (sub - 1) & mask
+        if mask == low:
+            label: list = [INF] * n
+            label[others[low.bit_length() - 1]] = 0
+        else:
+            # Each split once: the part holding the lowest terminal.
+            sums = []
+            sub = (mask - 1) & mask
+            while sub:
+                if sub & low:
+                    sums.append(map(add, dp[sub], dp[mask ^ sub]))
+                sub = (sub - 1) & mask
+            label = list(map(min, *sums)) if len(sums) > 1 else list(sums[0])
+        stop = root if mask == full else -1
         heap = [(d, v) for v, d in enumerate(label) if d < INF]
         heapq.heapify(heap)
         while heap:
-            d, u = heapq.heappop(heap)
+            d, u = pop(heap)
             if d > label[u]:
                 continue
+            if u == stop:
+                break
             for v, c in into[u]:
-                if d + c < label[v]:
-                    label[v] = d + c
-                    heapq.heappush(heap, (d + c, v))
+                c += d
+                if c < label[v]:
+                    label[v] = c
+                    push(heap, (c, v))
         dp[mask] = label
-    best = dp[full][dst.root]
+    best = label[root]
     if best == INF:
         raise InternalInvariantError("terminals unreachable in the layered digraph")
     return Cost.from_micros(int(best))

@@ -1,6 +1,7 @@
 """Layered-digraph reduction, arborescence oracle, tree checkers, spiders."""
 
 import hashlib
+import heapq
 import json
 import os
 import random
@@ -9,6 +10,7 @@ import pytest
 
 from vgsst import (
     Cost,
+    DstInstance,
     InputError,
     Instance,
     InternalInvariantError,
@@ -18,6 +20,7 @@ from vgsst import (
     check_grt,
     fig2_instance,
     m_optimize,
+    random_instance,
     reduce_to_dst,
     solution_cost,
     solve_greedy,
@@ -97,6 +100,101 @@ def test_arborescence_matches_oracle_on_corpus():
         dst = reduce_to_dst(inst)
         assert dst.num_nodes == inst.num_vertices * inst.grades
         assert brute_force_dst(dst, cap=dst.num_nodes) == brute_force_optimum(inst).total_cost
+
+
+# The perfbench oracles-cli rungs (n, grades), drawn here unrelabelled.
+ORACLE_RUNGS = ((7, 3), (8, 3), (9, 2), (10, 2), (11, 2), (12, 1), (12, 2))
+
+
+def _rule_in_arcs(inst):
+    """The in-arc rule, from the instance alone: node (v, i) is entered
+    from (u, i) for each neighbour u at c_i(v), and from (v, i + 1) at 0."""
+    n, levels = inst.num_vertices, inst.grades
+    rule = []
+    for i in range(1, levels + 1):
+        for v in range(n):
+            entering = [((i - 1) * n + u, inst.costs[v][i - 1].micros) for u in inst.adjacency[v]]
+            if i < levels:
+                entering.append((i * n + v, 0))
+            rule.append(sorted(entering))
+    return rule
+
+
+def test_in_arcs_follow_the_layered_rule():
+    rungs = [
+        random_instance(n, levels, seed=seed, edge_prob=0.4, terminal_fraction=0.4)
+        for n, levels in ORACLE_RUNGS
+        for seed in (1, 2)
+    ]
+    for inst in mixed_corpus(30, seed0=8100, max_n=7, max_levels=3) + rungs:
+        dst = reduce_to_dst(inst)
+        in_arcs = dst.in_arcs
+        assert [sorted(entering) for entering in in_arcs] == _rule_in_arcs(inst)
+        for head, entering in enumerate(in_arcs):  # arc order within each node
+            assert entering == tuple((t, c) for t, h, c in dst.arcs if h == head)
+        # Cached, and outside equality, hashing and repr.
+        assert dst.in_arcs is in_arcs
+        fresh = reduce_to_dst(inst)
+        assert dst == fresh and hash(dst) == hash(fresh) and repr(dst) == repr(fresh)
+
+
+class _CountingHeapq:
+    """Stands in for ``heapq`` in ``reductions``; each subset Dijkstra
+    heapifies its seeds once."""
+
+    heappop = staticmethod(heapq.heappop)
+    heappush = staticmethod(heapq.heappush)
+
+    def __init__(self):
+        self.dijkstras = 0
+
+    def heapify(self, heap):
+        self.dijkstras += 1
+        heapq.heapify(heap)
+
+
+def test_arborescence_lattice_leaves_out_the_root(monkeypatch, fig3):
+    counter = _CountingHeapq()
+    monkeypatch.setattr(reductions, "heapq", counter)
+    dst = reduce_to_dst(fig3)
+    assert len(dst.terminals) == 4 and dst.root in dst.terminals
+    brute_force_dst(dst, cap=16)
+    assert counter.dijkstras == 7  # 2^3 - 1, not 2^4 - 1
+
+    lone = Instance.build(3, [(0, 1), (1, 2)], 2, {1: 2}, [[0, 0], [0, 0], [1, 2]])
+    for inst in mixed_corpus(30, seed0=8100, max_n=7, max_levels=3) + [lone]:
+        dst = reduce_to_dst(inst)
+        counter.dijkstras = 0
+        brute_force_dst(dst, cap=dst.num_nodes)
+        assert counter.dijkstras == (1 << (len(dst.terminals) - 1)) - 1
+
+
+@pytest.mark.parametrize(
+    "root, terminals, arcs, bad",
+    [
+        (-1, (1,), ((0, 1, 5),), "root -1 outside 0..1"),
+        (2, (1,), ((0, 1, 5),), "root 2 outside 0..1"),
+        (0, (1, -1), ((0, 1, 5),), "terminal -1 outside 0..1"),
+        (0, (2,), ((0, 1, 5),), "terminal 2 outside 0..1"),
+        (0, (1,), ((0, 1, 5), (1, -1, 0)), r"arc \(1, -1, 0\) has an endpoint outside 0..1"),
+        (0, (1,), ((0, 2, 5),), r"arc \(0, 2, 5\) has an endpoint outside 0..1"),
+    ],
+    ids=["root-low", "root-high", "terminal-low", "terminal-high", "arc-low", "arc-high"],
+)
+def test_arborescence_refuses_nodes_out_of_range(root, terminals, arcs, bad):
+    with pytest.raises(InputError, match=bad):
+        brute_force_dst(DstInstance(2, 1, 2, arcs, root, terminals))
+
+
+def test_arborescence_refuses_negative_arc_cost():
+    dst = DstInstance(3, 1, 3, ((0, 1, 5), (1, 2, -3)), 0, (2,))
+    with pytest.raises(InputError, match=r"arc \(1, 2, -3\) has negative cost -3"):
+        brute_force_dst(dst)
+
+
+@pytest.mark.parametrize("terminals", [(), (0,)])
+def test_arborescence_without_other_terminals_is_free(terminals):
+    assert brute_force_dst(DstInstance(2, 1, 2, ((0, 1, 5),), 0, terminals)) == Cost.zero()
 
 
 # ---------------------------------------------------------------------------
