@@ -22,6 +22,11 @@ def fig2():
     return fig2_instance
 
 
+#: The benchmark's oracle rungs (n, grades); the tests draw each at
+#: generation seeds 1-2 with edge_prob=0.4, terminal_fraction=0.4.
+MODEL_RUNGS = ((7, 3), (8, 3), (9, 2), (10, 2), (11, 2), (12, 1), (12, 2))
+
+
 def mixed_corpus(count: int, seed0: int, max_n: int = 9, max_levels: int = 3):
     """Deterministic corpus of small connected instances, two or more
     terminals each, with sizes/densities cycled for variety."""

@@ -38,7 +38,7 @@ from vgsst.oracle import (
     _scan_lattice,
 )
 
-from conftest import mixed_corpus
+from conftest import MODEL_RUNGS, mixed_corpus
 
 
 def _path_instance() -> Instance:
@@ -338,8 +338,6 @@ def test_heuristic_outputs_are_model_feasible():
 
 
 GOLDEN_MODELS = os.path.join(os.path.dirname(__file__), "golden", "ilp_models.json")
-#: The benchmark's oracle rungs (n, grades), each at generation seeds 1-2.
-MODEL_RUNGS = ((7, 3), (8, 3), (9, 2), (10, 2), (11, 2), (12, 1), (12, 2))
 
 
 def test_models_match_pinned_rows_lp_and_optima():

@@ -28,7 +28,7 @@ from vgsst import (
 )
 from vgsst import reductions
 
-from conftest import mixed_corpus, optimized_grt, random_grt
+from conftest import MODEL_RUNGS, mixed_corpus, optimized_grt, random_grt
 
 
 def _host(n, edges, levels=4, root_demand=None):
@@ -102,10 +102,6 @@ def test_arborescence_matches_oracle_on_corpus():
         assert brute_force_dst(dst, cap=dst.num_nodes) == brute_force_optimum(inst).total_cost
 
 
-# The perfbench oracles-cli rungs (n, grades), drawn here unrelabelled.
-ORACLE_RUNGS = ((7, 3), (8, 3), (9, 2), (10, 2), (11, 2), (12, 1), (12, 2))
-
-
 def _rule_in_arcs(inst):
     """The in-arc rule, from the instance alone: node (v, i) is entered
     from (u, i) for each neighbour u at c_i(v), and from (v, i + 1) at 0."""
@@ -123,7 +119,7 @@ def _rule_in_arcs(inst):
 def test_in_arcs_follow_the_layered_rule():
     rungs = [
         random_instance(n, levels, seed=seed, edge_prob=0.4, terminal_fraction=0.4)
-        for n, levels in ORACLE_RUNGS
+        for n, levels in MODEL_RUNGS
         for seed in (1, 2)
     ]
     for inst in mixed_corpus(30, seed0=8100, max_n=7, max_levels=3) + rungs:
