@@ -59,23 +59,35 @@ def _ratio_text(cost: Cost, optimum: Cost) -> str:
     return f"{value:.1f}" if value == int(value) else f"{value:.6g}"
 
 
+def _refuse_beyond_oracle_caps(instances: list[Instance]) -> None:
+    """Raise ``SizeCapError`` for the first instance the exact oracle
+    refuses, before anything is solved."""
+    from . import oracle
+
+    for instance in instances:
+        oracle._assignment_ranges(instance, _ORACLE_VERTEX_LIMIT)
+
+
+def _exact_report(instance: Instance) -> SolutionReport:
+    """The exact optimum, as every subcommand computes it."""
+    from . import oracle
+
+    return oracle.brute_force_optimum(instance, limit=_ORACLE_VERTEX_LIMIT)
+
+
 def _solve_instance(instance: Instance, algorithm: str) -> SolutionReport:
     if algorithm == "exact":
-        from . import oracle
-
-        return oracle.brute_force_optimum(instance, limit=_ORACLE_VERTEX_LIMIT)
+        return _exact_report(instance)
     norm = normalize(instance)
     if algorithm == "greedy":
         from . import greedy
 
         report = greedy.solve_greedy(norm.instance)
-    elif algorithm in ("topdown", "bottomup"):
+    else:
         from . import heuristics
 
         solver = heuristics.solve_topdown if algorithm == "topdown" else heuristics.solve_bottomup
         report = solver(norm.instance, heuristics.greedy_as_vst)
-    else:
-        raise InputError(f"unknown algorithm {algorithm!r}")
     if norm.instance is not instance:
         report = denormalize_solution(instance, norm, report)
     return report
@@ -107,10 +119,7 @@ def cmd_solve(args) -> int:
     for instance in instances:
         assert_valid(instance, structural_only=True)
     if args.ratio or args.algorithm == "exact":
-        from . import oracle
-
-        for instance in instances:
-            oracle._assignment_ranges(instance, _ORACLE_VERTEX_LIMIT)
+        _refuse_beyond_oracle_caps(instances)
     tasks = [
         (path, instance, args.algorithm, args.output or _default_solution_path(path))
         for path, instance in zip(args.input, instances)
@@ -128,12 +137,7 @@ def cmd_solve(args) -> int:
         print(line)
         if args.ratio:
             # An exact solve's cost already is the optimum.
-            if args.algorithm == "exact":
-                optimum = cost
-            else:
-                optimum = oracle.brute_force_optimum(
-                    instance, limit=_ORACLE_VERTEX_LIMIT
-                ).total_cost
+            optimum = cost if args.algorithm == "exact" else _exact_report(instance).total_cost
             print(f"{path}: ratio {_ratio_text(cost, optimum)}")
     return 0
 
@@ -263,8 +267,6 @@ def _tree_failures(instance: Instance, report: SolutionReport, root: int | None)
 
 
 def cmd_verify(args) -> int:
-    from . import oracle
-
     instance = read_instance(args.instance)
     assert_valid(instance, structural_only=True)
     report = read_solution(args.solution)
@@ -294,7 +296,7 @@ def cmd_verify(args) -> int:
             print(f"FAIL: {f}")
         return 1
     try:
-        optimum = oracle.brute_force_optimum(instance, limit=_ORACLE_VERTEX_LIMIT)
+        optimum = _exact_report(instance)
     except SizeCapError:
         ratio = "skipped (beyond oracle caps)"
     else:
@@ -319,10 +321,7 @@ def cmd_bench(args) -> int:
     ]
     # Refuse instances beyond the oracle's caps before printing anything.
     if "exact" in algorithms:
-        from . import oracle
-
-        for instance in instances:
-            oracle._assignment_ranges(instance, _ORACLE_VERTEX_LIMIT)
+        _refuse_beyond_oracle_caps(instances)
     print("instance " + " ".join(algorithms))
     for k, instance in enumerate(instances):
         row = [f"seed={seed + k}"]

@@ -26,7 +26,7 @@ from .instance import (
     normalize,
     spanning_tree_by_levels,
 )
-from .reductions import _build_rooted, _demote, _subtree_demand
+from .reductions import _build_rooted, _subtree_demand
 
 #: Contract for the single-grade subroutine: takes a one-grade instance
 #: (every terminal requiring grade 1) and returns a vertex set that
@@ -63,8 +63,6 @@ def _check_vst_result(view: Instance, result: frozenset[int]) -> None:
     missing = set(view.terminals) - set(result)
     if missing:
         raise VstContractError(f"subroutine result misses terminals {sorted(missing)}")
-    if not result:
-        raise VstContractError("subroutine returned an empty set")
     chosen = sum(1 << v for v in result if 0 <= v < view.num_vertices)
     reached = _reach(view._neighbor_masks, chosen, view.terminals[0])
     if chosen.bit_count() != len(result) or reached != chosen:
@@ -130,8 +128,8 @@ def solve_bottomup(instance: Instance, vst: VstSubroutine) -> SolutionReport:
     grade; every vertex then drops to the highest requirement found in
     its subtree (terminal-free branches are pruned). Vertices that sit
     between high-demand terminals cannot demote, which is exactly where
-    this heuristic loses to the merge solver. The exit checks the
-    demoted assignment once and keeps the demoted tree.
+    this heuristic loses to the merge solver. The exit builds and checks
+    the tree of the demoted assignment.
     """
     assert_valid(instance)
     view = single_grade_view(instance, instance.grades, instance.terminals)
@@ -143,6 +141,7 @@ def solve_bottomup(instance: Instance, vst: VstSubroutine) -> SolutionReport:
     root = min(v for v in instance.terminals if instance.required[v] == instance.grades)
 
     _parent, children, order = _build_rooted(edges, root)
-    demand = _subtree_demand(order, children, instance.required)
-    tree, assignment = _demote(edges, demand, [0] * instance.num_vertices)
-    return _solver_report(instance, assignment, tree=tree)
+    assignment = [0] * instance.num_vertices
+    for v, d in _subtree_demand(order, children, instance.required).items():
+        assignment[v] = max(d, 0)
+    return _solver_report(instance, assignment)

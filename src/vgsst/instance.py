@@ -337,16 +337,15 @@ def denormalize_solution(
     """Map a solution of a normalized instance back to the original.
 
     Rewired terminals are lifted to at least their demand (free in the
-    normalized cost model), twin vertices and their pendant edges are
-    dropped, and the fixed offset is added back to the cost. Iteration
-    telemetry is dropped because it references normalized vertex ids.
+    normalized cost model), twin vertices are dropped, and the fixed
+    offset is added back to the cost; the solver exit builds the tree of
+    the lifted assignment. Iteration telemetry is dropped because it
+    references normalized vertex ids.
     """
-    n = original.num_vertices
-    y = list(report.assignment[:n])
+    y = list(report.assignment[: original.num_vertices])
     for v in norm.moved:
         y[v] = max(y[v], original.required[v])
-    tree = tuple(e for e in report.tree_edges if e[0] < n and e[1] < n)
-    return _solver_report(original, y, report.total_cost + norm.offset, tree)
+    return _solver_report(original, y, report.total_cost + norm.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -573,27 +572,20 @@ class SolutionReport(_Record):
 
 
 def _solver_report(
-    instance: Instance, y: Sequence[int], total: Cost | None = None,
-    tree: tuple[Edge, ...] | None = None, **telemetry,
+    instance: Instance, y: Sequence[int], total: Cost | None = None, **telemetry
 ) -> SolutionReport:
     """The one exit of every solver: certify ``y``, then report it.
 
-    Checks the solver's own ``total``, when it keeps one, against
-    :func:`solution_cost`, and feasibility once: through
-    :func:`extract_tree` when it builds the tree, through
-    :func:`check_feasible` when the solver brings its own ``tree``. A
-    failure here is the solver's bug, not the caller's, so every one
-    raises ``InternalInvariantError``.
+    Builds every solver's tree itself, with :func:`extract_tree`, which
+    checks feasibility once, and checks the solver's own ``total``, when
+    it keeps one, against :func:`solution_cost`: cost, feasibility and
+    tree are certified on one path. A failure here is the solver's bug,
+    not the caller's, so every one raises ``InternalInvariantError``.
     """
     y = tuple(y)
     try:
         cost = solution_cost(instance, y)
-        if tree is None:
-            tree = extract_tree(instance, y)
-        else:
-            ok, witness = check_feasible(instance, y)
-            if not ok:
-                raise InternalInvariantError(f"solver result is infeasible: {witness}")
+        tree = extract_tree(instance, y)
     except (InputError, InfeasibleAssignmentError) as exc:
         raise InternalInvariantError(f"solver result rejected: {exc}") from exc
     if total is not None and total != cost:

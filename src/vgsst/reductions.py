@@ -131,8 +131,13 @@ def brute_force_dst(dst: DstInstance, cap: int = 14) -> Cost:
     label is final then. With no terminal other than r the answer is 0.
 
     Raises ``SizeCapError`` above ``cap`` nodes, and ``InputError`` for a
-    root, terminal or arc endpoint outside 0..num_nodes-1 or a negative
-    arc cost (see ``DstInstance.in_arcs``).
+    root, terminal or arc endpoint outside 0..num_nodes-1, a negative arc
+    cost (see ``DstInstance.in_arcs``), or a terminal that no arc path
+    from the root reaches, naming the first such terminal. Each
+    singleton's Dijkstra runs to the end (or pops the root), so its root
+    label is final when checked; once every terminal is reachable, so is
+    the whole set. ROADMAP item 11's fixed digraphs may later turn this
+    refusal into a "no arborescence" result.
     """
     if dst.num_nodes > cap:
         raise SizeCapError(f"arborescence oracle limited to {cap} nodes, got {dst.num_nodes}")
@@ -178,11 +183,11 @@ def brute_force_dst(dst: DstInstance, cap: int = 14) -> Cost:
                 if c < label[v]:
                     label[v] = c
                     push(heap, (c, v))
+        if mask == low and label[root] == INF:
+            cut_off = others[low.bit_length() - 1]
+            raise InputError(f"terminal {cut_off} is unreachable from root {root}")
         dp[mask] = label
-    best = label[root]
-    if best == INF:
-        raise InternalInvariantError("terminals unreachable in the layered digraph")
-    return Cost.from_micros(int(best))
+    return Cost.from_micros(int(label[root]))
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +262,6 @@ def _subtree_demand(
     return demand
 
 
-def _demote(tree_edges: Sequence[Edge], demand: Mapping[int, int], y: Sequence[int]):
-    """The one demotion pass: each tree vertex takes its ``_subtree_demand``,
-    0 for none, and only edges between vertices of some demand are kept."""
-    new_y = list(y)
-    for v, d in demand.items():
-        new_y[v] = max(d, 0)
-    edges = tuple(sorted((u, v) for u, v in tree_edges if min(demand[u], demand[v]) >= 0))
-    return edges, tuple(new_y)
-
-
 def _root_marked(tree_edges: Sequence[Edge], y: GradeAssignment, root: int, marked: set[int]):
     """``_build_rooted`` plus ``_subtree_demand``, once the root is marked,
     the tree grade-respecting from it and every marked vertex on it."""
@@ -297,7 +292,11 @@ def m_optimize(
     still grade-respecting and never costs more.
     """
     *_, demand = _root_marked(tree_edges, y, root, set(marked))
-    return _demote(tree_edges, demand, y)
+    new_y = list(y)
+    for v, d in demand.items():
+        new_y[v] = max(d, 0)
+    edges = tuple(sorted((u, v) for u, v in tree_edges if min(demand[u], demand[v]) >= 0))
+    return edges, tuple(new_y)
 
 
 # ---------------------------------------------------------------------------

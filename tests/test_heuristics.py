@@ -6,13 +6,16 @@ from fractions import Fraction
 import pytest
 
 import vgsst.instance
+from vgsst import cli
 from vgsst import (
     Cost,
     Instance,
+    VgsstError,
     VstContractError,
     brute_force_optimum,
     check_feasible,
     exact_vst,
+    extract_tree,
     fig2_instance,
     greedy_as_vst,
     normalize,
@@ -107,12 +110,25 @@ def test_topdown_with_exact_subroutine_meets_grade_factor():
             assert spend.micros <= optimum.micros
 
 
-def test_topdown_rejects_broken_subroutine(fig3):
-    def broken(view):
-        return frozenset({min(view.terminals)})
-
-    with pytest.raises(VstContractError):
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (lambda view: frozenset({min(view.terminals)}), "misses terminals"),
+        # fig3's top-grade view has terminals 0 and 5, joined only through 1-2-3.
+        (lambda view: frozenset({0, 5}), "does not induce a connected subgraph"),
+        (lambda view: frozenset({0, 1, 2, 3, 5, 99}), "does not induce a connected subgraph"),
+    ],
+    ids=["missing-terminal", "disconnected", "outside-the-view"],
+)
+def test_topdown_rejects_broken_subroutine(fig3, broken, message):
+    with pytest.raises(VstContractError, match=message):
         solve_topdown(fig3, broken)
+
+
+def test_greedy_subroutine_refuses_a_multi_grade_view(fig3):
+    assert fig3.grades == 2
+    with pytest.raises(VgsstError, match="subroutine views must have exactly one grade"):
+        greedy_as_vst(fig3)
 
 
 # ---------------------------------------------------------------------------
@@ -251,3 +267,32 @@ def test_each_solver_exit_checks_feasibility_once(monkeypatch):
         assert len(calls) == len(views) + 1, name
         counts[name] = len(calls)
     assert counts == {"topdown": 3, "bottomup": 2, "greedy": 1, "exact": 1}
+
+
+def _with_costly_terminals(inst: Instance) -> Instance:
+    """``inst`` with every other terminal's ladder raised by 1 throughout."""
+    ladders = [list(ladder) for ladder in inst.costs]
+    for t in inst.terminals[::2]:
+        ladders[t] = [c + Cost.parse(1) for c in ladders[t]]
+    return Instance.build(inst.num_vertices, inst.edges, inst.grades, dict(inst.required), ladders)
+
+
+def test_every_solver_tree_is_extract_tree_of_its_assignment():
+    solvers = {
+        "greedy": solve_greedy,
+        "topdown-greedy": lambda inst: solve_topdown(inst, greedy_as_vst),
+        "topdown-exact": lambda inst: solve_topdown(inst, exact_vst),
+        "bottomup-greedy": lambda inst: solve_bottomup(inst, greedy_as_vst),
+        "bottomup-exact": lambda inst: solve_bottomup(inst, exact_vst),
+        "exact": brute_force_optimum,
+    }
+    cases = []
+    for inst in mixed_corpus(24, seed0=7700):
+        cases += [(name, inst, solve(inst)) for name, solve in solvers.items()]
+        costly = _with_costly_terminals(inst)
+        assert normalize(costly).instance is not costly  # the CLI goes through denormalize
+        cases += [(f"cli-{a}", costly, cli._solve_instance(costly, a)) for a in cli._ALGORITHMS]
+    assert len(cases) == 24 * 10
+    for name, inst, report in cases:
+        assert report.tree_edges == extract_tree(inst, report.assignment), name
+        assert cli._tree_failures(inst, report, None) == [], name

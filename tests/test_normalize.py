@@ -159,6 +159,20 @@ def test_single_edge_ladder_lands_on_midpoint():
     assert inst.costs[2] == (Cost.parse(2), Cost.parse(5))
 
 
+@pytest.mark.parametrize(
+    "ladder, message",
+    [
+        ([1], r"^edge \(0,1\) ladder must have 2 entries$"),
+        ([5, 2], r"^edge \(0,1\) ladder is not non-decreasing$"),
+    ],
+    ids=["wrong-length", "decreasing"],
+)
+def test_subdivision_refuses_a_bad_edge_ladder(ladder, message):
+    problem = _edge_problem(2, [(0, 1)], 2, {0: 2, 1: 2}, [[0, 0], [0, 0]], {(0, 1): ladder})
+    with pytest.raises(InputError, match=message):
+        edge_costs_to_vertex_costs(problem)
+
+
 def test_subdivision_preserves_optima():
     # Oracle on both sides of the rewrite: the subdivided instance goes to
     # the standard assignment oracle, the edge-weighted original to a joint

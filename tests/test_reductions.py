@@ -188,6 +188,19 @@ def test_arborescence_refuses_negative_arc_cost():
         brute_force_dst(dst)
 
 
+@pytest.mark.parametrize(
+    "dst, cut_off",
+    [
+        (DstInstance(2, 1, 2, (), 0, (1,)), 1),
+        (DstInstance(3, 1, 3, ((0, 1, 5),), 0, (1, 2)), 2),
+    ],
+    ids=["no-arc", "one-of-two-cut-off"],
+)
+def test_arborescence_refuses_a_terminal_the_root_cannot_reach(dst, cut_off):
+    with pytest.raises(InputError, match=rf"^terminal {cut_off} is unreachable from root 0$"):
+        brute_force_dst(dst)
+
+
 @pytest.mark.parametrize("terminals", [(), (0,)])
 def test_arborescence_without_other_terminals_is_free(terminals):
     assert brute_force_dst(DstInstance(2, 1, 2, ((0, 1, 5),), 0, terminals)) == Cost.zero()
@@ -269,6 +282,13 @@ def test_demotion_requires_marked_root():
     host = _host(2, [(0, 1)], levels=1, root_demand=1)
     with pytest.raises(InputError):
         m_optimize(host, [(0, 1)], (1, 1), 0, {1})
+
+
+@pytest.mark.parametrize("checker", [m_optimize, spider_decompose])
+def test_tree_checkers_refuse_a_grade_rise(checker):
+    host = _host(3, [(0, 1), (1, 2)], levels=2, root_demand=2)
+    with pytest.raises(InputError, match=r"^input tree is not grade-respecting: path \(0, 1, 2\)$"):
+        checker(host, [(0, 1), (1, 2)], (2, 1, 2), 0, {0, 2})
 
 
 def test_marked_vertices_off_the_tree_are_refused():
