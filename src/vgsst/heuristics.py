@@ -63,9 +63,11 @@ def _check_vst_result(view: Instance, result: frozenset[int]) -> None:
     missing = set(view.terminals) - set(result)
     if missing:
         raise VstContractError(f"subroutine result misses terminals {sorted(missing)}")
-    chosen = sum(1 << v for v in result if 0 <= v < view.num_vertices)
-    reached = _reach(view._neighbor_masks, chosen, view.terminals[0])
-    if chosen.bit_count() != len(result) or reached != chosen:
+    outside = sorted(v for v in result if not 0 <= v < view.num_vertices)
+    if outside:
+        raise VstContractError(f"subroutine result holds ids {outside} outside the view")
+    chosen = sum(1 << v for v in result)
+    if _reach(view._neighbor_masks, chosen, view.terminals[0]) != chosen:
         raise VstContractError("subroutine result does not induce a connected subgraph")
 
 

@@ -201,12 +201,13 @@ def _reach(adj_masks: Sequence[int], level: int, start: int) -> int:
 
 
 def _grade_reach(masks: Sequence[int], y: Sequence[int], grade: int, start: int):
-    """The one per-grade test: bitmasks of ``{v : y[v] >= grade}`` and what ``start`` reaches."""
+    """The one per-grade test: bitmasks of ``{v : y[v] >= grade}`` and what
+    ``start`` reaches inside it, which is nothing when ``start`` is outside."""
     level = 0
     for v, g in enumerate(y):
         if g >= grade:
             level |= 1 << v
-    return level, _reach(masks, level, start)
+    return level, _reach(masks, level, start) if level >> start & 1 else 0
 
 
 def validate(instance: Instance, structural_only: bool = False) -> list[Violation]:

@@ -14,7 +14,7 @@ import tempfile
 from decimal import Decimal
 from typing import Any
 
-from .costs import Cost, _Record, format_fraction, parse_fraction
+from .costs import Cost, format_fraction, parse_fraction
 from .instance import (
     GradeAssignment,
     InputError,
@@ -41,18 +41,11 @@ _ITERATION_FIELDS = {
 # Deterministic emitter (json.dumps cannot print exact decimal literals)
 
 
-class _Num(_Record):
-    """A number to emit verbatim."""
-
-    def __init__(self, text: str):
-        self.__dict__.update(text=text)
-
-
 def _emit(obj, indent: int) -> str:
     pad = " " * indent
     inner = " " * (indent + 2)
-    if isinstance(obj, _Num):
-        return obj.text
+    if isinstance(obj, Cost):
+        return obj.as_decimal_str()
     if isinstance(obj, bool):
         raise TypeError("no booleans in these documents")
     if isinstance(obj, int):
@@ -62,7 +55,7 @@ def _emit(obj, indent: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(isinstance(x, (int, _Num)) for x in obj):
+        if all(isinstance(x, (int, Cost)) for x in obj):
             return "[" + ", ".join(_emit(x, 0) for x in obj) + "]"
         body = ",\n".join(inner + _emit(x, indent + 2) for x in obj)
         return "[\n" + body + "\n" + pad + "]"
@@ -72,10 +65,6 @@ def _emit(obj, indent: int) -> str:
         )
         return "{\n" + body + "\n" + pad + "}"
     raise TypeError(f"cannot emit {type(obj).__name__}")
-
-
-def _cost_num(c: Cost) -> _Num:
-    return _Num(c.as_decimal_str())
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +153,7 @@ def instance_to_json(instance: Instance) -> str:
             {"vertex": v, "required": instance.required[v]}
             for v in instance.terminals
         ],
-        "costs": [[_cost_num(c) for c in ladder] for ladder in instance.costs],
+        "costs": instance.costs,
     }
     return _emit(doc, 0) + "\n"
 
@@ -177,12 +166,12 @@ def solution_to_json(report: SolutionReport) -> str:
     doc = {
         "assignment": list(report.assignment),
         "tree_edges": [list(e) for e in report.tree_edges],
-        "cost": _cost_num(report.total_cost),
+        "cost": report.total_cost,
         "iterations": [
             {
                 "gamma": format_fraction(rec.gamma),
                 "merged_count": rec.merged_count,
-                "incurred_cost": _cost_num(rec.incurred_cost),
+                "incurred_cost": rec.incurred_cost,
                 "root": rec.root,
                 "center": rec.center,
                 "grade": rec.grade,

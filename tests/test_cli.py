@@ -300,8 +300,7 @@ def test_verify_flags_tampering(capsys, fig3_file, tmp_path):
     sol_path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", fig3_file, str(sol_path))
     assert code == 1
-    assert "FAIL" in out
-    assert "witness pair" in out or "cost mismatch" in out
+    assert out.startswith("FAIL: cost mismatch") and out.count("FAIL:") == 2
 
 
 def test_verify_rejects_forged_tree(capsys, fig3_file, tmp_path):
@@ -330,6 +329,32 @@ def test_verify_checks_the_last_merge_root(capsys, fig3_file, tmp_path):
     _corrupt(sol_path, _set(["iterations", -1, "root"], 999))
     assert run(capsys, "verify", fig3_file, str(sol_path)) == (
         2, "", "error: merge root 999 is not a vertex of the instance\n"
+    )
+
+
+def test_verify_checks_the_demand_floors_first(capsys, fig3_file, tmp_path):
+    # Terminal 0 demands grade 2 and costs nothing at either grade, so
+    # only its floor fails; the tree still certifies every other rule.
+    sol_path = tmp_path / "sol.json"
+    run(capsys, "solve", fig3_file, "-o", str(sol_path))
+    _corrupt(sol_path, _set(["assignment", 0], 1))
+    assert run(capsys, "verify", fig3_file, str(sol_path)) == (
+        1, "FAIL: terminal 0 below its demand\n", ""
+    )
+
+
+def test_verify_names_the_vertex_the_merge_root_does_not_reach(capsys, fig3_file, tmp_path):
+    # fig3's greedy tree joins terminal 5 to root 0 through vertex 7 only:
+    # dropping 7 to grade 1, with the cost lowered to match, cuts the tree
+    # at grade 2 and nothing else.
+    sol_path = tmp_path / "sol.json"
+    run(capsys, "solve", fig3_file, "-o", str(sol_path))
+    doc = json.loads(sol_path.read_text())
+    assert doc["iterations"][-1]["root"] == 0 and doc["cost"] == 30
+    _corrupt(sol_path, _set(["assignment", 7], 1))
+    _corrupt(sol_path, _set(["cost"], 29))
+    assert run(capsys, "verify", fig3_file, str(sol_path)) == (
+        1, "FAIL: grade-2 tree edges do not reach vertex 5 from vertex 0\n", ""
     )
 
 
@@ -396,9 +421,11 @@ def test_verify_matches_public_checkers_on_one_edit_mutations(capsys, tmp_path, 
     for edit in _one_edit_mutations(instance, doc):
         sol_path.write_text(original)
         _corrupt(sol_path, edit)
-        code = run(capsys, "verify", str(inst_path), str(sol_path))[0]
+        code, out, _ = run(capsys, "verify", str(inst_path), str(sol_path))
         expected = _reference_verdict(instance, read_solution(str(sol_path)))
         assert code == expected, sol_path.read_text()
+        # At most the cost line and the tree's first failure.
+        assert out.count("FAIL:") <= 2, out
         verdicts.append(code)
     assert 0 in verdicts and 1 in verdicts
 

@@ -116,7 +116,7 @@ def test_topdown_with_exact_subroutine_meets_grade_factor():
         (lambda view: frozenset({min(view.terminals)}), "misses terminals"),
         # fig3's top-grade view has terminals 0 and 5, joined only through 1-2-3.
         (lambda view: frozenset({0, 5}), "does not induce a connected subgraph"),
-        (lambda view: frozenset({0, 1, 2, 3, 5, 99}), "does not induce a connected subgraph"),
+        (lambda view: frozenset({0, 1, 2, 3, 5, 99}), r"holds ids \[99\] outside the view"),
     ],
     ids=["missing-terminal", "disconnected", "outside-the-view"],
 )
@@ -140,6 +140,14 @@ def test_bottomup_builtin_feasible(fig3):
     ok, _ = check_feasible(fig3, report.assignment)
     assert ok
     assert report.total_cost >= brute_force_optimum(fig3).total_cost
+
+
+def test_bottomup_rejects_ids_outside_the_view(fig3):
+    def every_vertex_and_99(view):
+        return frozenset(range(view.num_vertices)) | {99}
+
+    with pytest.raises(VstContractError, match=r"holds ids \[99\] outside the view"):
+        solve_bottomup(fig3, every_vertex_and_99)
 
 
 def test_bottomup_single_grade_equals_topdown():
