@@ -74,16 +74,13 @@ def _check_vst_result(view: Instance, result: frozenset[int]) -> None:
 def greedy_as_vst(view: Instance) -> frozenset[int]:
     """Default polynomial subroutine: the merge solver run at one grade.
 
-    Handles terminals with positive cost by normalizing first and mapping
-    the zero-cost twins back out of the answer.
+    Terminals with positive cost are normalized in place first, so the
+    greedy's bought vertices are the answer.
     """
     if view.grades != 1:
         raise VgsstError("subroutine views must have exactly one grade")
-    norm = normalize(view)
-    report = solve_greedy(norm.instance)
-    spanned = {v for v in range(view.num_vertices) if report.assignment[v] >= 1}
-    spanned.update(view.terminals)
-    return frozenset(spanned)
+    report = solve_greedy(normalize(view).instance)
+    return frozenset(v for v, g in enumerate(report.assignment) if g >= 1)
 
 
 def solve_topdown(instance: Instance, vst: VstSubroutine) -> SolutionReport:

@@ -276,60 +276,43 @@ def assert_valid(instance: Instance, structural_only: bool = False) -> None:
 class NormalizeResult(_Record):
     """Outcome of :func:`normalize`.
 
-    offset is the fixed cost every solution of the original instance pays
-    for its costly terminals; optimal cost of ``instance`` plus ``offset``
-    equals the optimal cost of the original. ``moved`` maps each original
-    terminal that was rewired to its zero-cost replacement vertex.
+    ``instance`` has the original's vertices, edges and terminals, and
+    ``offset`` is what every feasible solution of the original pays for
+    its terminals' floors: each feasible assignment costs exactly
+    ``offset`` more in the original than in ``instance``.
     """
 
-    def __init__(self, instance: Instance, offset: Cost, moved: Mapping[int, int]):
-        self.__dict__.update(instance=instance, offset=offset, moved=moved)
+    def __init__(self, instance: Instance, offset: Cost):
+        self.__dict__.update(instance=instance, offset=offset)
 
 
 def normalize(instance: Instance) -> NormalizeResult:
     """Rewrite an instance into the canonical zero-terminal-cost form.
 
-    Terminals whose required grade is not free get a zero-cost twin hanging
-    off them that takes over the terminal role; the original vertex keeps
-    its ladder reduced by the required-grade cost (so later upgrades are
-    charged only their increment). The grade count drops to the highest
-    grade actually demanded. An instance already in this form is returned
-    as is.
+    Every feasible assignment lifts terminal t to its demand R(t), so t's
+    ladder drops by its cost at R(t), floored at zero, and that cost
+    moves into the offset; later upgrades are charged only their
+    increment. The grade count drops to the highest grade demanded.
+    Vertices, edges, terminals and the feasible set stay the same. An
+    instance already in this form is returned as is.
     """
     if not instance.required:
         raise InputError("cannot normalize an instance with no terminals")
     assert_valid(instance, structural_only=True)
 
     top = max(instance.required.values())
-    n = instance.num_vertices
-    edges = list(instance.edges)
     ladders = [list(ladder[:top]) for ladder in instance.costs]
-    required: dict[int, int] = {}
-    moved: dict[int, int] = {}
     offset = Cost.zero()
-
-    for v in sorted(instance.required):
-        r = instance.required[v]
-        paid = instance.costs[v][r - 1]
-        if paid == Cost.zero():
-            required[v] = r
-            continue
-        # Twin vertex takes over the terminal role; v's ladder keeps only
-        # the increments above the grade every solution had to buy anyway.
-        twin = n
-        n += 1
-        edges.append(canon_edge(v, twin))
-        ladders.append([Cost.zero()] * top)
-        ladders[v] = [
-            c - paid if c > paid else Cost.zero() for c in ladders[v]
-        ]
-        required[twin] = r
-        moved[v] = twin
+    for v, r in instance.required.items():
+        paid = ladders[v][r - 1]
+        ladders[v] = [c - paid if c > paid else Cost.zero() for c in ladders[v]]
         offset = offset + paid
 
-    if moved or top < instance.grades:
-        instance = Instance.build(n, edges, top, required, ladders)
-    return NormalizeResult(instance=instance, offset=offset, moved=moved)
+    if offset != Cost.zero() or top < instance.grades:
+        instance = Instance.build(
+            instance.num_vertices, instance.edges, top, instance.required, ladders
+        )
+    return NormalizeResult(instance=instance, offset=offset)
 
 
 def denormalize_solution(
@@ -337,16 +320,11 @@ def denormalize_solution(
 ) -> "SolutionReport":
     """Map a solution of a normalized instance back to the original.
 
-    Rewired terminals are lifted to at least their demand (free in the
-    normalized cost model), twin vertices are dropped, and the fixed
-    offset is added back to the cost; the solver exit builds the tree of
-    the lifted assignment. Iteration telemetry is dropped because it
-    references normalized vertex ids.
+    The assignment carries over unchanged and the offset is added back to
+    the cost; the solver exit builds its tree in the original. Merge
+    records are dropped: their costs are priced on the reduced ladders.
     """
-    y = list(report.assignment[: original.num_vertices])
-    for v in norm.moved:
-        y[v] = max(y[v], original.required[v])
-    return _solver_report(original, y, report.total_cost + norm.offset)
+    return _solver_report(original, report.assignment, report.total_cost + norm.offset)
 
 
 # ---------------------------------------------------------------------------

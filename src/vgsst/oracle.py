@@ -228,11 +228,13 @@ def build_ilp(instance: Instance, limit: int = 15) -> IlpModel:
     """The cut model of ``instance``: objective increments, neighbour
     masks and per-grade demand masks.
 
-    Refuses instances beyond ``limit`` vertices. Nothing is enumerated
+    Refuses instances beyond ``limit`` vertices, and instances that are
+    not normalized: the model has no rows for the terminals' floors, so
+    it is exact only where those floors are free. Nothing is enumerated
     here: the boundary table and the rows are built by the first read of
     ``IlpModel.cuts`` and by each solve.
     """
-    assert_valid(instance, structural_only=True)
+    assert_valid(instance)
     n = instance.num_vertices
     if n > limit:
         raise SizeCapError(f"cut enumeration limited to {limit} vertices, got {n}")

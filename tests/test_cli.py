@@ -255,6 +255,29 @@ def test_export_lp(capsys, tmp_path):
     assert "x_1_1 >= 1" in out
 
 
+def test_export_lp_refuses_costly_terminals(capsys, tmp_path):
+    # The cut model has no rows for terminal floors; solve and verify
+    # handle the same file.
+    path = tmp_path / "costly.json"
+    path.write_text(
+        json.dumps(
+            {
+                "num_vertices": 3,
+                "grades": 2,
+                "edges": [[0, 1], [1, 2]],
+                "terminals": [{"vertex": 0, "required": 2}, {"vertex": 2, "required": 1}],
+                "costs": [[1, 2], [1, 2], [3, 3]],
+            }
+        )
+    )
+    code, out, err = run(capsys, "export", "--lp", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: terminal-cost at 0: ") and err.count("\n") == 1
+    sol = str(tmp_path / "s.json")
+    assert run(capsys, "solve", str(path), "-o", sol)[:2] == (0, f"{path}: cost 6 iterations 0\n")
+    assert run(capsys, "verify", str(path), sol)[:2] == (0, "PASS: cost 6, ratio 1.0\n")
+
+
 def test_export_dot_with_solution(capsys, fig3_file, tmp_path):
     sol = str(tmp_path / "sol.json")
     run(capsys, "solve", "--algorithm", "greedy", fig3_file, "-o", sol)

@@ -1,4 +1,6 @@
-"""Instance rewrites: costly-terminal rewiring and edge-cost elimination."""
+"""Instance rewrites: costly-terminal normalization and edge-cost elimination."""
+
+from itertools import product
 
 import pytest
 
@@ -11,31 +13,31 @@ from vgsst import (
     InternalInvariantError,
     SolutionReport,
     brute_force_optimum,
+    check_feasible,
     denormalize_solution,
     edge_costs_to_vertex_costs,
     normalize,
     random_instance,
+    solution_cost,
     solve_greedy,
     validate,
 )
 
 
-def test_costly_terminal_gets_twin():
+def test_costly_terminal_is_lowered_in_place():
     inst = Instance.build(2, [(0, 1)], 1, {0: 1}, [[5], [1]])
     result = normalize(inst)
     assert result.offset == Cost.parse(5)
-    assert result.instance.num_vertices == 3
-    assert result.instance.terminals == (2,)
-    assert result.moved == {0: 2}
-    assert (0, 2) in result.instance.edges
-    assert result.instance.costs[2] == (Cost.zero(),)
+    assert result.instance.num_vertices == 2
+    assert result.instance.terminals == (0,)
+    assert result.instance.edges == inst.edges
+    assert result.instance.costs == ((Cost.zero(),), (Cost.parse(1),))
     assert validate(result.instance) == []
 
 
 def test_builtin_already_normalized(fig3):
     result = normalize(fig3)
     assert result.offset == Cost.zero()
-    assert result.moved == {}
     assert result.instance == fig3
 
 
@@ -90,6 +92,26 @@ def test_normalize_preserves_optima():
         lhs = brute_force_optimum(original).total_cost
         rhs = brute_force_optimum(result.instance).total_cost + result.offset
         assert lhs == rhs, f"seed {seed}: {lhs} != {rhs}"
+
+
+def test_normalize_is_exact_on_every_assignment():
+    # Every assignment with the terminal floors and grades up to the top
+    # demanded grade gets the same verdict on both instances, and costs
+    # exactly the offset more in the original.
+    for seed in range(30):
+        original = _denormalized_instance(seed)
+        result = normalize(original)
+        norm = result.instance
+        assert norm.num_vertices == original.num_vertices
+        assert norm.edges == original.edges
+        assert norm.required == original.required
+        ranges = [
+            range(original.required.get(v, 0), norm.grades + 1)
+            for v in range(original.num_vertices)
+        ]
+        for y in product(*ranges):
+            assert check_feasible(norm, y)[0] == check_feasible(original, y)[0], (seed, y)
+            assert solution_cost(original, y) == solution_cost(norm, y) + result.offset, (seed, y)
 
 
 def test_denormalize_reports_a_broken_mapping_as_internal(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 import vgsst.oracle
 from vgsst import (
     Cost,
+    InputError,
     Instance,
     SizeCapError,
     brute_force_optimum,
@@ -105,6 +106,15 @@ def test_path_model_rows():
     assert by_mask[0b100] == (1,)
     assert by_mask[0b011] == (2,)
     assert by_mask[0b110] == (0,)
+
+
+def test_build_ilp_refuses_costly_terminal_floors():
+    # The model has no floor rows: its optimum (1, 1, 1) at cost 5 leaves
+    # terminal 0 below its demand, where the true optimum costs 6.
+    inst = Instance.build(3, [(0, 1), (1, 2)], 2, {0: 2, 2: 1}, [[1, 2], [1, 2], [3, 3]])
+    assert brute_force_optimum(inst).total_cost == Cost.parse(6)
+    with pytest.raises(InputError, match="^terminal-cost at 0: .*; terminal-cost at 2: "):
+        build_ilp(inst)
 
 
 def test_single_demanding_terminal_produces_no_rows():

@@ -58,10 +58,9 @@ SAMPLES = {
         "Violation(rule='self-loop', subject=(1, 1), detail='self-loops are rejected')",
     ),
     "NormalizeResult": (
-        lambda: NormalizeResult(instance=_instance(), offset=Cost(0), moved={}),
+        lambda: NormalizeResult(instance=_instance(), offset=Cost(0)),
         "NormalizeResult(instance=Instance(num_vertices=2, edges=((0, 1),), grades=1, "
-        "required={0: 1, 1: 1}, costs=((Cost('0'),), (Cost('0'),))), offset=Cost('0'), "
-        "moved={})",
+        "required={0: 1, 1: 1}, costs=((Cost('0'),), (Cost('0'),))), offset=Cost('0'))",
     ),
     "EdgeWeightedInstance": (
         lambda: EdgeWeightedInstance(2, ((0, 1),), 1, {0: 1}, ((Cost(0),), (Cost(0),)), {}),
@@ -130,7 +129,7 @@ CHANGED = {
     "Instance": ("grades", lambda: Instance.build(2, [(0, 1)], 2, {0: 1, 1: 1},
                                                   [["0", "0"], ["0", "0"]])),
     "Violation": ("detail", lambda: Violation("self-loop", (1, 1), "other")),
-    "NormalizeResult": ("moved", lambda: NormalizeResult(_instance(), Cost(0), {0: 2})),
+    "NormalizeResult": ("offset", lambda: NormalizeResult(_instance(), Cost(1))),
     "EdgeWeightedInstance": ("edge_costs", lambda: EdgeWeightedInstance(
         2, ((0, 1),), 1, {0: 1}, ((Cost(0),), (Cost(0),)), {(0, 1): (Cost(0),)})),
     "FeasibilityWitness": ("vertex", lambda: FeasibilityWitness("disconnected", 0, 2, (0, 3))),
