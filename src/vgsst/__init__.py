@@ -45,7 +45,6 @@ _EXPORTS = {
         "solve_topdown",
     ),
     "instance": (
-        "EdgeWeightedInstance",
         "FeasibilityWitness",
         "GradeAssignment",
         "InfeasibleAssignmentError",

@@ -30,7 +30,6 @@ from .instance import (
     _check_assignment,
     _edge_masks,
     _grade_reach,
-    assert_valid,
     canon_edge,
     denormalize_solution,
     normalize,
@@ -112,11 +111,9 @@ def cmd_solve(args) -> int:
         raise InputError(f"--output takes a single input, got {len(args.input)} inputs")
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    # Every input is parsed and validated once, here, and refused beyond
-    # the oracle's caps before anything is solved or written.
+    # Every input is read, and so structurally checked, once, here, and
+    # refused beyond the oracle's caps before anything is solved or written.
     instances = [read_instance(path) for path in args.input]
-    for instance in instances:
-        assert_valid(instance, structural_only=True)
     if args.ratio or args.algorithm == "exact":
         _refuse_beyond_oracle_caps(instances)
     tasks = [
@@ -204,7 +201,6 @@ def instance_to_dot(instance: Instance, assignment=None) -> str:
 
 def cmd_export(args) -> int:
     instance = read_instance(args.input)
-    assert_valid(instance, structural_only=True)
     if args.lp:
         from . import oracle
 
@@ -276,7 +272,6 @@ def _tree_failures(instance: Instance, report: SolutionReport, root: int | None)
 
 def cmd_verify(args) -> int:
     instance = read_instance(args.instance)
-    assert_valid(instance, structural_only=True)
     report = read_solution(args.solution)
     root = report.iterations[-1].root if report.iterations else None
     if root is not None and not 0 <= root < instance.num_vertices:

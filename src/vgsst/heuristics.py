@@ -16,21 +16,21 @@ from typing import Callable, Iterable
 from .costs import Cost
 from .greedy import solve_greedy
 from .instance import (
+    InputError,
     Instance,
     SolutionReport,
-    VgsstError,
     VstContractError,
     _reach,
     _solver_report,
     assert_valid,
-    normalize,
     spanning_tree_by_levels,
 )
 from .reductions import _build_rooted, _subtree_demand
 
-#: Contract for the single-grade subroutine: takes a one-grade instance
-#: (every terminal requiring grade 1) and returns a vertex set that
-#: induces a connected subgraph containing all its terminals.
+#: Contract for the single-grade subroutine: takes a normalized one-grade
+#: instance (every terminal requiring grade 1 at cost zero) and returns a
+#: vertex set that induces a connected subgraph containing all its
+#: terminals.
 VstSubroutine = Callable[[Instance], frozenset[int]]
 
 
@@ -40,23 +40,22 @@ def single_grade_view(
     terminals: Iterable[int],
     free: Iterable[int] = (),
 ) -> Instance:
-    """One-grade instance over the same graph using one cost column.
+    """Normalized one-grade instance over the same graph using one cost column.
 
     Vertices in ``free`` (typically an already-bought, contracted region)
-    get a zero cost so the subroutine can roam them at no charge.
+    cost zero, so the subroutine can roam them at no charge. So do the
+    view's terminals: every answer holds them, and the layered solvers
+    price answers on ``instance``, never on the view.
     """
-    free_set = set(free)
+    if not 1 <= grade <= instance.grades:
+        raise InputError(f"view grade {grade} out of range 1..{instance.grades}")
+    required = {t: 1 for t in terminals}
+    zero = set(free) | required.keys()
     column = [
-        [Cost.zero()] if v in free_set else [instance.costs[v][grade - 1]]
+        [Cost.zero()] if v in zero else [instance.costs[v][grade - 1]]
         for v in range(instance.num_vertices)
     ]
-    return Instance.build(
-        instance.num_vertices,
-        instance.edges,
-        1,
-        {t: 1 for t in terminals},
-        column,
-    )
+    return Instance.build(instance.num_vertices, instance.edges, 1, required, column)
 
 
 def _check_vst_result(view: Instance, result: frozenset[int]) -> None:
@@ -74,12 +73,12 @@ def _check_vst_result(view: Instance, result: frozenset[int]) -> None:
 def greedy_as_vst(view: Instance) -> frozenset[int]:
     """Default polynomial subroutine: the merge solver run at one grade.
 
-    Terminals with positive cost are normalized in place first, so the
-    greedy's bought vertices are the answer.
+    The view is normalized, as :func:`single_grade_view` builds it, so
+    the greedy's bought vertices are the answer.
     """
     if view.grades != 1:
-        raise VgsstError("subroutine views must have exactly one grade")
-    report = solve_greedy(normalize(view).instance)
+        raise InputError("subroutine views must have exactly one grade")
+    report = solve_greedy(view)
     return frozenset(v for v, g in enumerate(report.assignment) if g >= 1)
 
 

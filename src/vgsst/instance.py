@@ -56,7 +56,10 @@ class Instance(_Record):
     required: terminal -> required grade in {1..grades}.
     costs: per vertex, a ladder (c_1, ..., c_grades) of Cost values.
 
-    The cached properties are computed on first access, outside equality.
+    Make instances with :meth:`build`, which enforces the structural
+    rules. The constructor is the plain record constructor, called only
+    by ``build`` and by unpickling. The cached properties are computed
+    on first access, outside equality.
     """
 
     def __init__(
@@ -75,7 +78,14 @@ class Instance(_Record):
         required: Mapping[int, int],
         costs: Sequence[Sequence],
     ) -> "Instance":
-        """Canonicalise raw data; rejects structurally unusable input."""
+        """Canonicalise raw data and refuse structurally unusable input.
+
+        Out-of-range ids, grades and ladder lengths raise at the first one
+        found. Then every self-loop, duplicate edge, disconnected graph,
+        decreasing ladder and empty terminal set is reported in one
+        ``InputError`` that joins the :class:`Violation` lines with "; ".
+        The normalization rules are :func:`validate`'s.
+        """
         if num_vertices < 1:
             raise InputError("instance needs at least one vertex")
         if grades < 1:
@@ -96,13 +106,17 @@ class Instance(_Record):
             if len(ladder) != grades:
                 raise InputError(f"cost ladder at vertex {v} must have {grades} entries")
             ladders.append(tuple(Cost.parse(c) for c in ladder))
-        return Instance(
+        instance = Instance(
             num_vertices=num_vertices,
             edges=tuple(edge_list),
             grades=grades,
             required=dict(sorted(required.items())),
             costs=tuple(ladders),
         )
+        issues = _structural_violations(instance)
+        if issues:
+            raise InputError("; ".join(str(i) for i in issues))
+        return instance
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -210,39 +224,40 @@ def _grade_reach(masks: Sequence[int], y: Sequence[int], grade: int, start: int)
     return level, _reach(masks, level, start) if level >> start & 1 else 0
 
 
-def validate(instance: Instance, structural_only: bool = False) -> list[Violation]:
-    """Check instance invariants; returns violations instead of raising.
-
-    With ``structural_only`` the normalisation invariants (zero terminal
-    ladders up to the requirement, top grade actually demanded) are skipped;
-    :func:`normalize` accepts instances that only break those.
-    """
+def _structural_violations(instance: Instance) -> list[Violation]:
+    """The rules :meth:`Instance.build` enforces, in reporting order."""
     out: list[Violation] = []
-    seen: set[Edge] = set()
-    for u, v in instance.edges:
-        if u == v:
-            out.append(Violation("self-loop", (u, v), "self-loops are rejected"))
-        elif (u, v) in seen:
-            out.append(Violation("duplicate-edge", (u, v), "multigraphs are rejected"))
-        seen.add((u, v))
+    prev = None
+    for edge in instance.edges:  # sorted, so a duplicate follows its twin
+        if edge[0] == edge[1]:
+            out.append(Violation("self-loop", edge, "self-loops are rejected"))
+        elif edge == prev:
+            out.append(Violation("duplicate-edge", edge, "multigraphs are rejected"))
+        prev = edge
     full = (1 << instance.num_vertices) - 1
     if _reach(instance._neighbor_masks, full, 0) != full:
         out.append(Violation("connectivity", None, "graph is not connected"))
     for v, ladder in enumerate(instance.costs):
         for i in range(1, instance.grades):
-            if ladder[i] < ladder[i - 1]:
-                out.append(
-                    Violation(
-                        "cost-monotonicity",
-                        v,
-                        f"c_{i + 1}={ladder[i]} < c_{i}={ladder[i - 1]}",
-                    )
-                )
+            if ladder[i].micros < ladder[i - 1].micros:
+                detail = f"c_{i + 1}={ladder[i]} < c_{i}={ladder[i - 1]}"
+                out.append(Violation("cost-monotonicity", v, detail))
                 break
     if not instance.required:
         out.append(Violation("terminals", None, "terminal set is empty"))
-    if structural_only or not instance.required:
-        return out
+    return out
+
+
+def validate(instance: Instance) -> list[Violation]:
+    """The normalization rules a built instance can still break.
+
+    Returns violations instead of raising: some terminal must demand the
+    top grade (``grade-span``), and every terminal's ladder must be zero
+    up to its demand (``terminal-cost``). :func:`normalize` rewrites any
+    built instance into this form; the structural rules are
+    :meth:`Instance.build`'s. The check reads only the terminals.
+    """
+    out: list[Violation] = []
     if max(instance.required.values()) != instance.grades:
         out.append(
             Violation(
@@ -252,7 +267,7 @@ def validate(instance: Instance, structural_only: bool = False) -> list[Violatio
             )
         )
     for v, r in instance.required.items():
-        if instance.costs[v][r - 1] != Cost.zero():
+        if instance.costs[v][r - 1].micros:
             out.append(
                 Violation(
                     "terminal-cost",
@@ -263,8 +278,8 @@ def validate(instance: Instance, structural_only: bool = False) -> list[Violatio
     return out
 
 
-def assert_valid(instance: Instance, structural_only: bool = False) -> None:
-    issues = validate(instance, structural_only=structural_only)
+def assert_valid(instance: Instance) -> None:
+    issues = validate(instance)
     if issues:
         raise InputError("; ".join(str(i) for i in issues))
 
@@ -294,12 +309,9 @@ def normalize(instance: Instance) -> NormalizeResult:
     moves into the offset; later upgrades are charged only their
     increment. The grade count drops to the highest grade demanded.
     Vertices, edges, terminals and the feasible set stay the same. An
-    instance already in this form is returned as is.
+    instance already in this form is returned as is. Any built instance
+    can be normalized: :meth:`Instance.build` has checked its structure.
     """
-    if not instance.required:
-        raise InputError("cannot normalize an instance with no terminals")
-    assert_valid(instance, structural_only=True)
-
     top = max(instance.required.values())
     ladders = [list(ladder[:top]) for ladder in instance.costs]
     offset = Cost.zero()
@@ -331,43 +343,35 @@ def denormalize_solution(
 # Edge-cost elimination
 
 
-class EdgeWeightedInstance(_Record):
-    """An instance variant whose edges also carry cost ladders."""
+def edge_costs_to_vertex_costs(
+    instance: Instance, edge_costs: Mapping[Edge, Sequence]
+) -> Instance:
+    """Subdivide every edge of ``instance`` so all costs live on vertices.
 
-    def __init__(
-        self, num_vertices: int, edges: tuple[Edge, ...], grades: int,
-        required: Mapping[int, int], vertex_costs: tuple[tuple[Cost, ...], ...],
-        edge_costs: Mapping[Edge, tuple[Cost, ...]],
-    ):
-        self.__dict__.update(
-            num_vertices=num_vertices, edges=edges, grades=grades, required=required,
-            vertex_costs=vertex_costs, edge_costs=edge_costs,
-        )
-
-
-def edge_costs_to_vertex_costs(problem: EdgeWeightedInstance) -> Instance:
-    """Subdivide every weighted edge so all costs live on vertices.
-
-    Each edge u-v becomes u-w, w-v through a fresh non-terminal w carrying
-    the edge's ladder. Zero-cost edges are subdivided too: uniform shape
-    beats special cases. Subdivision ids follow canonical edge order.
+    ``edge_costs`` maps each of ``instance.edges``, and nothing else, to
+    the edge's cost ladder. Each edge u-v becomes u-w, w-v through a fresh
+    non-terminal w carrying that ladder. Zero-cost edges are subdivided
+    too: uniform shape beats special cases. Subdivision ids follow
+    canonical edge order.
     """
-    n = problem.num_vertices
+    missing = sorted(set(instance.edges) - set(edge_costs))
+    extra = sorted(set(edge_costs) - set(instance.edges))
+    if missing or extra:
+        raise InputError(f"edge ladders missing for {missing}, given for non-edges {extra}")
+    n = instance.num_vertices
     edges: list[Edge] = []
-    ladders = [list(l) for l in problem.vertex_costs]
-    for u, v in sorted(canon_edge(a, b) for a, b in problem.edges):
-        ladder = problem.edge_costs[canon_edge(u, v)]
-        if len(ladder) != problem.grades:
-            raise InputError(f"edge ({u},{v}) ladder must have {problem.grades} entries")
-        for i in range(1, problem.grades):
+    ladders = list(instance.costs)
+    for u, v in instance.edges:
+        ladder = [Cost.parse(c) for c in edge_costs[u, v]]
+        if len(ladder) != instance.grades:
+            raise InputError(f"edge ({u},{v}) ladder must have {instance.grades} entries")
+        for i in range(1, instance.grades):
             if ladder[i] < ladder[i - 1]:
                 raise InputError(f"edge ({u},{v}) ladder is not non-decreasing")
-        w = n
+        edges += [(u, n), (v, n)]
+        ladders.append(ladder)
         n += 1
-        edges.append(canon_edge(u, w))
-        edges.append(canon_edge(w, v))
-        ladders.append(list(ladder))
-    return Instance.build(n, edges, problem.grades, dict(problem.required), ladders)
+    return Instance.build(n, edges, instance.grades, instance.required, ladders)
 
 
 # ---------------------------------------------------------------------------

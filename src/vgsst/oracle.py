@@ -121,7 +121,6 @@ def brute_force_optimum(instance: Instance, limit: int = 10) -> SolutionReport:
     smallest vector). Refuses instances beyond ``limit`` vertices or 10^7
     candidates.
     """
-    assert_valid(instance, structural_only=True)
     ranges = _assignment_ranges(instance, limit)
     found = _scan_lattice(ranges, _cost_tables(instance, ranges), feasibility_tester(instance))
     if found is None:

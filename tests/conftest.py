@@ -48,6 +48,42 @@ def mixed_corpus(count: int, seed0: int, max_n: int = 9, max_levels: int = 3):
     return instances
 
 
+def set_cover_family(k: int, levels: int, seed: int):
+    """Greedy set cover's tight example as a Steiner instance, ids shuffled
+    from ``seed``; returns (instance, the ids of sets A and B).
+
+    A root terminal is adjacent to the set vertices A, B and G_1..G_k.
+    Two rows of 2^k - 1 element terminals follow: A is adjacent to the
+    top row, B to the bottom row, and G_i to 2^(i-1) elements of each
+    row, disjoint across i. Every terminal demands ``levels`` and costs
+    0; every set vertex has the ladder (1, 2, ..., levels). Buying A and B
+    at the top grade costs 2L, and that is optimal: without A every G_i
+    must be bought, since each holds a top-row element no other set holds,
+    which costs kL >= 2L, and likewise without B. The greedy buys
+    G_k, ..., G_1, each merging one tree more than A or B at the same
+    price, and pays kL.
+    """
+    rows = 2**k - 1
+    n = 3 + k + 2 * rows
+    top, bottom = range(3 + k, 3 + k + rows), range(3 + k + rows, n)
+    edges = [(0, s) for s in range(1, 3 + k)]
+    edges += [(1, e) for e in top] + [(2, e) for e in bottom]
+    for i in range(1, k + 1):
+        for row in (top, bottom):
+            edges += [(2 + i, e) for e in row[2 ** (i - 1) - 1 : 2**i - 1]]
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    terminals = {0, *top, *bottom}
+    costs = [None] * n
+    for v in range(n):
+        costs[perm[v]] = [0] * levels if v in terminals else list(range(1, levels + 1))
+    instance = Instance.build(
+        n, [(perm[u], perm[v]) for u, v in edges], levels,
+        {perm[t]: levels for t in terminals}, costs,
+    )
+    return instance, (perm[1], perm[2])
+
+
 def random_grt(seed: int):
     """A random rooted tree with non-increasing grades plus a marked set.
 

@@ -192,6 +192,19 @@ def test_solve_validates_every_input_before_writing(capsys, fig3_file, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.json", "fig3.json"]
 
 
+def test_solve_checks_the_instance_once(capsys, fig3_file, tmp_path, monkeypatch):
+    # Reading the file checked its structure; the greedy's entry checks
+    # its normalized form, and nothing checks either again.
+    real = vgsst.instance.validate
+    calls = []
+    monkeypatch.setattr(
+        vgsst.instance, "validate", lambda *args, **kw: calls.append(args[0]) or real(*args, **kw)
+    )
+    code, _, _ = run(capsys, "solve", fig3_file, "-o", str(tmp_path / "sol.json"))
+    assert code == 0
+    assert calls == [fig3_instance()]
+
+
 def test_solve_normalizes_costly_terminals(capsys, tmp_path):
     # Terminal 0 must pay 5; the solver normalizes internally and maps back.
     path = tmp_path / "paid.json"

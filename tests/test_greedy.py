@@ -18,12 +18,14 @@ from vgsst import (
     StaleCandidateError,
     apply_merge,
     best_candidate_for,
+    brute_force_dst,
     brute_force_optimum,
     check_feasible,
     check_grt,
     graded_shortest_paths,
     init_forest,
     random_instance,
+    reduce_to_dst,
     select_global_candidate,
     solution_cost,
     solve_greedy,
@@ -33,7 +35,7 @@ from vgsst.costs import parse_fraction
 from vgsst.io import solution_to_json
 from vgsst.instance import spanning_tree_by_levels
 
-from conftest import mixed_corpus
+from conftest import mixed_corpus, set_cover_family
 
 
 def _after_first_merge(fig3):
@@ -665,6 +667,31 @@ def test_per_round_bound_is_below_the_optimum(fig2, fig3, ratio_corpus, ratio_co
         )
         assert bound <= optimum.total_cost.as_fraction(), inst
         assert report.total_cost.as_fraction() <= 2 * harmonic * bound, inst
+
+
+@pytest.mark.parametrize("levels, top_k", [(1, 8), (2, 7)])
+def test_set_cover_family_costs_the_greedy_k_over_2_times_the_optimum(levels, top_k):
+    # OPT = 2L is the family's covering argument; buying A and B reaches
+    # it, and the greedy pays kL, so greedy/OPT = k/2 exactly.
+    for k in range(2, top_k + 1):
+        inst, (a, b) = set_cover_family(k, levels, seed=100 * levels + k)
+        best = [levels if v in inst.required or v in (a, b) else 0
+                for v in range(inst.num_vertices)]
+        assert check_feasible(inst, best)[0], k
+        assert solution_cost(inst, best) == Cost.parse(2 * levels), k
+        report = solve_greedy(inst)
+        assert report.total_cost == Cost.parse(k * levels), k
+        bound, _ = _greedy_lower_bound(
+            len(inst.terminals), [(r.gamma, r.merged_count) for r in report.iterations]
+        )
+        assert bound <= 2 * levels, k
+
+
+@pytest.mark.parametrize("k, levels", [(2, 1), (2, 2), (3, 1)])
+def test_set_cover_family_optimum_matches_the_dst_oracle(k, levels):
+    inst, _ = set_cover_family(k, levels, seed=7)
+    dst = reduce_to_dst(inst)
+    assert brute_force_dst(dst, cap=dst.num_nodes) == Cost.parse(2 * levels)
 
 
 # ---------------------------------------------------------------------------

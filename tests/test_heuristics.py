@@ -9,8 +9,8 @@ import vgsst.instance
 from vgsst import cli
 from vgsst import (
     Cost,
+    InputError,
     Instance,
-    VgsstError,
     VstContractError,
     brute_force_optimum,
     check_feasible,
@@ -24,6 +24,7 @@ from vgsst import (
     solve_bottomup,
     solve_greedy,
     solve_topdown,
+    validate,
 )
 
 from conftest import mixed_corpus
@@ -127,8 +128,22 @@ def test_topdown_rejects_broken_subroutine(fig3, broken, message):
 
 def test_greedy_subroutine_refuses_a_multi_grade_view(fig3):
     assert fig3.grades == 2
-    with pytest.raises(VgsstError, match="subroutine views must have exactly one grade"):
+    with pytest.raises(InputError, match="subroutine views must have exactly one grade"):
         greedy_as_vst(fig3)
+
+def test_single_grade_views_are_normalized():
+    for inst in mixed_corpus(40, seed0=6600):
+        for grade in range(1, inst.grades + 1):
+            view = single_grade_view(inst, grade, inst.terminals)
+            assert validate(view) == [], (inst, grade)
+            assert all(view.costs[t] == (Cost.zero(),) for t in inst.terminals)
+
+
+@pytest.mark.parametrize("grade", [0, 3])
+def test_single_grade_view_refuses_a_grade_out_of_range(fig3, grade):
+    with pytest.raises(InputError, match=rf"^view grade {grade} out of range 1\.\.2$"):
+        single_grade_view(fig3, grade, [0, 5])
+
 
 
 # ---------------------------------------------------------------------------

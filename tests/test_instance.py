@@ -35,29 +35,37 @@ def test_validate_builtin_clean(fig3):
 
 
 def test_validate_reports_cost_monotonicity():
-    inst = Instance.build(2, [(0, 1)], 2, {0: 2}, [[0, 0], [5, 3]])
-    issues = validate(inst)
-    assert any(v.rule == "cost-monotonicity" and v.subject == 1 for v in issues)
+    with pytest.raises(InputError, match=r"^cost-monotonicity at 1: c_2=3 < c_1=5$"):
+        Instance.build(2, [(0, 1)], 2, {0: 2}, [[0, 0], [5, 3]])
 
 
 def test_validate_reports_disconnected():
-    inst = Instance.build(2, [], 1, {0: 1}, [[0], [1]])
-    assert any(v.rule == "connectivity" for v in validate(inst))
+    with pytest.raises(InputError, match=r"^connectivity at None: graph is not connected$"):
+        Instance.build(2, [], 1, {0: 1}, [[0], [1]])
 
 
 def test_validate_rejects_self_loop_and_multi_edge():
-    inst = Instance.build(3, [(0, 0), (0, 1), (1, 2)], 1, {0: 1}, [[0], [1], [1]])
-    assert any(v.rule == "self-loop" for v in validate(inst))
-    dup = Instance.build(3, [(0, 1), (1, 0), (1, 2)], 1, {0: 1}, [[0], [1], [1]])
-    assert any(v.rule == "duplicate-edge" for v in validate(dup))
+    with pytest.raises(InputError, match=r"^self-loop at \(0, 0\): self-loops are rejected$"):
+        Instance.build(3, [(0, 0), (0, 1), (1, 2)], 1, {0: 1}, [[0], [1], [1]])
+    with pytest.raises(InputError, match=r"^duplicate-edge at \(0, 1\): multigraphs are rejected$"):
+        Instance.build(3, [(0, 1), (1, 0), (1, 2)], 1, {0: 1}, [[0], [1], [1]])
+
+
+def test_build_names_every_broken_rule_in_one_line():
+    with pytest.raises(InputError) as caught:
+        Instance.build(3, [(0, 1), (1, 0)], 2, {}, [[0, 0], [2, 1], [0, 0]])
+    assert str(caught.value) == (
+        "duplicate-edge at (0, 1): multigraphs are rejected; "
+        "connectivity at None: graph is not connected; "
+        "cost-monotonicity at 1: c_2=1 < c_1=2; "
+        "terminals at None: terminal set is empty"
+    )
 
 
 def test_validate_normalisation_rules():
     # Top grade never demanded, and a costly terminal ladder.
     inst = Instance.build(2, [(0, 1)], 2, {0: 1}, [[1, 2], [0, 0]])
-    rules = {v.rule for v in validate(inst)}
-    assert "grade-span" in rules and "terminal-cost" in rules
-    assert {v.rule for v in validate(inst, structural_only=True)} == set()
+    assert [v.rule for v in validate(inst)] == ["grade-span", "terminal-cost"]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 import vgsst.instance
 from vgsst import (
     Cost,
-    EdgeWeightedInstance,
     InputError,
     Instance,
     InternalInvariantError,
@@ -65,9 +64,9 @@ def test_moved_terminal_keeps_upgrade_increments():
 
 
 def test_normalize_requires_terminals():
-    inst = Instance.build(1, [], 1, {}, [[1]])
-    with pytest.raises(InputError):
-        normalize(inst)
+    # No terminal-free instance can be built, so none reaches normalize.
+    with pytest.raises(InputError, match=r"^terminals at None: terminal set is empty$"):
+        Instance.build(1, [], 1, {}, [[1]])
 
 
 def _denormalized_instance(seed: int) -> Instance:
@@ -132,18 +131,8 @@ def test_denormalize_reports_a_broken_mapping_as_internal(monkeypatch):
 
 
 def _edge_problem(num_vertices, edges, grades, required, vertex_costs, edge_costs):
-    return EdgeWeightedInstance(
-        num_vertices=num_vertices,
-        edges=tuple(edges),
-        grades=grades,
-        required=required,
-        vertex_costs=tuple(
-            tuple(Cost.parse(c) for c in ladder) for ladder in vertex_costs
-        ),
-        edge_costs={
-            e: tuple(Cost.parse(c) for c in ladder) for e, ladder in edge_costs.items()
-        },
-    )
+    """A built instance and its edge ladders, the two arguments of the rewrite."""
+    return Instance.build(num_vertices, edges, grades, required, vertex_costs), edge_costs
 
 
 def test_triangle_subdivision():
@@ -155,7 +144,7 @@ def test_triangle_subdivision():
         [[0], [0], [0]],
         {(0, 1): [1], (1, 2): [1], (0, 2): [1]},
     )
-    inst = edge_costs_to_vertex_costs(problem)
+    inst = edge_costs_to_vertex_costs(*problem)
     assert inst.num_vertices == 6
     new = [v for v in range(3, 6)]
     assert all(len(inst.adjacency[v]) == 2 for v in new)
@@ -166,7 +155,7 @@ def test_zero_cost_edges_still_subdivided():
     problem = _edge_problem(
         2, [(0, 1)], 1, {0: 1, 1: 1}, [[0], [0]], {(0, 1): [0]}
     )
-    inst = edge_costs_to_vertex_costs(problem)
+    inst = edge_costs_to_vertex_costs(*problem)
     assert inst.num_vertices == 3
     assert inst.costs[2] == (Cost.zero(),)
 
@@ -175,7 +164,7 @@ def test_single_edge_ladder_lands_on_midpoint():
     problem = _edge_problem(
         2, [(0, 1)], 2, {0: 2, 1: 2}, [[0, 0], [0, 0]], {(0, 1): [2, 5]}
     )
-    inst = edge_costs_to_vertex_costs(problem)
+    inst = edge_costs_to_vertex_costs(*problem)
     assert inst.num_vertices == 3
     assert inst.edges == ((0, 2), (1, 2))
     assert inst.costs[2] == (Cost.parse(2), Cost.parse(5))
@@ -192,7 +181,24 @@ def test_single_edge_ladder_lands_on_midpoint():
 def test_subdivision_refuses_a_bad_edge_ladder(ladder, message):
     problem = _edge_problem(2, [(0, 1)], 2, {0: 2, 1: 2}, [[0, 0], [0, 0]], {(0, 1): ladder})
     with pytest.raises(InputError, match=message):
-        edge_costs_to_vertex_costs(problem)
+        edge_costs_to_vertex_costs(*problem)
+
+
+@pytest.mark.parametrize(
+    "ladders, message",
+    [
+        ({(0, 1): [1]}, r"^edge ladders missing for \[\(1, 2\)\], given for non-edges \[\]$"),
+        (
+            {(0, 1): [1], (1, 2): [1], (0, 2): [1]},
+            r"^edge ladders missing for \[\], given for non-edges \[\(0, 2\)\]$",
+        ),
+    ],
+    ids=["missing", "extra"],
+)
+def test_subdivision_wants_one_ladder_per_edge(ladders, message):
+    inst = Instance.build(3, [(0, 1), (1, 2)], 1, {0: 1, 2: 1}, [[0], [0], [0]])
+    with pytest.raises(InputError, match=message):
+        edge_costs_to_vertex_costs(inst, ladders)
 
 
 def test_subdivision_preserves_optima():
@@ -211,15 +217,7 @@ def test_subdivision_preserves_optima():
         for e in base.edges:
             first = rng.randint(0, 3)
             edge_costs[e] = (Cost.parse(first), Cost.parse(first + rng.randint(0, 2)))
-        problem = EdgeWeightedInstance(
-            num_vertices=base.num_vertices,
-            edges=base.edges,
-            grades=2,
-            required=dict(base.required),
-            vertex_costs=base.costs,
-            edge_costs=edge_costs,
-        )
-        rewritten = edge_costs_to_vertex_costs(problem)
+        rewritten = edge_costs_to_vertex_costs(base, edge_costs)
         direct = brute_force_optimum_with_edges(base, edge_costs)
         via_rewrite = brute_force_optimum(rewritten, limit=rewritten.num_vertices)
         assert direct == via_rewrite.total_cost, f"seed {seed}"

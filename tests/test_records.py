@@ -15,7 +15,6 @@ from vgsst import (
     Cost,
     CutRow,
     DstInstance,
-    EdgeWeightedInstance,
     FeasibilityWitness,
     GradedDistanceRow,
     IlpModel,
@@ -61,11 +60,6 @@ SAMPLES = {
         lambda: NormalizeResult(instance=_instance(), offset=Cost(0)),
         "NormalizeResult(instance=Instance(num_vertices=2, edges=((0, 1),), grades=1, "
         "required={0: 1, 1: 1}, costs=((Cost('0'),), (Cost('0'),))), offset=Cost('0'))",
-    ),
-    "EdgeWeightedInstance": (
-        lambda: EdgeWeightedInstance(2, ((0, 1),), 1, {0: 1}, ((Cost(0),), (Cost(0),)), {}),
-        "EdgeWeightedInstance(num_vertices=2, edges=((0, 1),), grades=1, required={0: 1}, "
-        "vertex_costs=((Cost('0'),), (Cost('0'),)), edge_costs={})",
     ),
     "FeasibilityWitness": (
         lambda: FeasibilityWitness("disconnected", grade=2, pair=(0, 3)),
@@ -121,7 +115,7 @@ SAMPLES = {
 }
 
 # Records holding a dict cannot be hashed.
-UNHASHABLE = {"Instance", "NormalizeResult", "EdgeWeightedInstance"}
+UNHASHABLE = {"Instance", "NormalizeResult"}
 
 # (record, field, a copy of the sample with that field changed): an unequal pair.
 CHANGED = {
@@ -130,8 +124,6 @@ CHANGED = {
                                                   [["0", "0"], ["0", "0"]])),
     "Violation": ("detail", lambda: Violation("self-loop", (1, 1), "other")),
     "NormalizeResult": ("offset", lambda: NormalizeResult(_instance(), Cost(1))),
-    "EdgeWeightedInstance": ("edge_costs", lambda: EdgeWeightedInstance(
-        2, ((0, 1),), 1, {0: 1}, ((Cost(0),), (Cost(0),)), {(0, 1): (Cost(0),)})),
     "FeasibilityWitness": ("vertex", lambda: FeasibilityWitness("disconnected", 0, 2, (0, 3))),
     "IterationRecord": ("gamma", lambda: IterationRecord(
         Fraction(3, 4), 2, Cost(3000000), 0, 4, 1, (5,))),
