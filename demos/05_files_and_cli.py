@@ -23,7 +23,8 @@ def cli(*argv):
 
 def demo():
     cli("gen", "--builtin", "fig3", "-o", "fig3.json")
-    instance = instance_from_json(open("fig3.json").read())
+    with open("fig3.json", encoding="utf-8") as fh:
+        instance = instance_from_json(fh.read())
     print("parsed instance:", instance.num_vertices, "vertices,", instance.grades, "grades")
 
     cli("solve", "--algorithm", "greedy", "fig3.json", "-o", "fig3.sol.json", "--ratio")
@@ -38,12 +39,14 @@ def demo():
     cli("verify", "rand.json", "rand.sol.json")
 
     cli("export", "--lp", "fig3.json", "-o", "fig3.lp")
-    print("LP header:", open("fig3.lp").readline().strip())
+    with open("fig3.lp", encoding="utf-8") as fh:
+        print("LP header:", fh.readline().strip())
 
     cli("export", "--dot", "fig3.json", "--solution", "fig3.sol.json", "-o", "fig3.dot")
     print("DOT preview:")
-    for line in open("fig3.dot").read().splitlines()[:4]:
-        print(" ", line)
+    with open("fig3.dot", encoding="utf-8") as fh:
+        for line in fh.read().splitlines()[:4]:
+            print(" ", line)
 
 
 home = os.getcwd()

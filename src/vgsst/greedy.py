@@ -17,10 +17,13 @@ live on the forest across rounds. One Dijkstra loop, ``_settle``, both
 fills them in the first scan and repairs them in place after each merge,
 which only ever lowers weights. The winner's paths come from the same loop
 run from each path's root and stopped once it pops the center, after a
-check in one O(m) pass that every row the winner reads is exact.
+check in one O(m) pass that every row the winner reads is exact. Its heap
+holds single ints ``label * n + vertex``: with 0 <= vertex < n they pop in
+the (label, vertex) order that pairs would, so every tie-break is kept.
 
-Each round's scan reads the rows as columns, one per center, and sorts
-the roots by distance once per center for every grade. The best subset
+Each round's scan reads the rows as columns, one per center, plans the
+grades once, and sorts the roots by distance once per center for every
+grade. The best subset
 of each size is a prefix of that order, and each prefix walk stops at
 the first strict rise of its ratio: adding a distance x to a prefix of
 k trees with numerator N lowers or keeps the ratio iff x*k <= N, and
@@ -173,7 +176,7 @@ def _dijkstra(forest: GrtForest, source: int, grade: int, stop: int = -1):
     row: list = [float("inf")] * len(w)
     row[source] = 0
     preds = [-1] * len(w)
-    _settle(row, w, forest.instance.adjacency, [(0, source)], preds, stop)
+    _settle(row, w, forest.instance.adjacency, [source], preds, stop)
     return w, row, preds
 
 
@@ -182,6 +185,11 @@ def _settle(
 ) -> None:
     """The greedy's one Dijkstra: lower the interior distances ``row`` in place
     from the labels ``row[u] + w[u]`` (path weight, source excluded) in ``heap``.
+
+    A heap entry is the single int ``label * n + u``, n = ``len(row)``, and
+    decodes as ``key // n`` and ``key % n``. Since 0 <= u < n, two keys
+    compare as their (label, u) pairs do, so ints pop in the order the
+    pairs would, and cost less to compare and build.
 
     Improvements are strict and equal labels pop by vertex id, so ``preds``
     is reproducible. The fill seeds the source, on an all-infinite row with
@@ -197,9 +205,12 @@ def _settle(
     predecessor chain was popped before it, so the chain to ``stop`` is the
     full fill's, tie-breaks included.
     """
+    n = len(row)
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, u = pop(heap)
+        key = pop(heap)
+        u = key % n
+        d = key // n
         if d != row[u] + w[u]:
             continue
         if u == stop:
@@ -210,7 +221,7 @@ def _settle(
                 row[x] = d
                 if preds is not None:
                     preds[x] = u
-                push(heap, (d + w[x], x))
+                push(heap, (d + w[x]) * n + x)
 
 
 def _row_is_exact(row: list[int], w: list[int], adjacency, source: int) -> bool:
@@ -288,9 +299,13 @@ def _best(forest: GrtForest, centers, grades) -> MergeCandidate | None:
     prefix holds two trees, and the promoted id can only fall as the
     prefix grows, so a later tie wins there too.
 
-    Ratios are compared by cross-multiplying integers; ties go to the
-    lower grade, then center, then root, then the larger subset. Only the
-    winner gets its paths reconstructed.
+    The grades are planned once per round: each grade with an eligible
+    root gets its weight column, the roots demanding more with their
+    columns, and whether a root demands exactly it. Each candidate is then
+    compared at once against the best ratio so far, held as the integer
+    pair bn/bm (1/0 before the first, which every candidate beats), by
+    cross-multiplying; ties go to the lower grade, then center, then root,
+    then the larger subset. Only the winner gets its paths reconstructed.
     """
     required = forest.instance.required
     rows = forest.rows
@@ -301,25 +316,24 @@ def _best(forest: GrtForest, centers, grades) -> MergeCandidate | None:
                 rows[(root, g)] = list(graded_shortest_paths(forest, root, g).interior_micros)
     req = [required[r] for r in roots]
     native = list(zip(*[rows[(r, q)] for r, q in zip(roots, req)]))
-    grades = [g for g in grades if g >= min(req)]  # no eligible root below
-    outside = {}  # grade -> (roots demanding more, their columns)
-    for g in grades:
-        ids = [r for r, q in zip(roots, req) if q > g]
-        if ids:
-            outside[g] = (ids, list(zip(*[rows[(r, g)] for r in ids])))
     demanded = set(req)
-    w = forest.w
-    best = None
+    lowest = min(req)  # no root is eligible below
+    plan = []
+    for g in grades:
+        if g >= lowest:
+            ids = [r for r, q in zip(roots, req) if q > g]
+            columns = list(zip(*[rows[(r, g)] for r in ids]))
+            plan.append((g, forest.w[g - 1], ids, columns, g in demanded))
+    bn, bm = 1, 0
+    best = None  # (grade, center, root, -merged, order, prefix length)
     for center in centers:
         col = native[center]
         order = sorted(range(len(roots)), key=col.__getitem__)
-        for grade in grades:
-            found = []
-            if grade in outside:
-                ids, columns = outside[grade]
+        for grade, wg, ids, columns, promotes in plan:
+            if ids:
                 column = columns[center]
                 root_dist = min(column)
-                numerator = root_dist + w[grade - 1][center]
+                numerator = root_dist + wg[center]
                 merged = 1
                 for i in order:
                     if req[i] <= grade:
@@ -328,9 +342,14 @@ def _best(forest: GrtForest, centers, grades) -> MergeCandidate | None:
                             break
                         numerator += x
                         merged += 1
-                found.append((numerator, merged, ids[column.index(root_dist)], merged - 1))
-            if grade in demanded:
-                numerator = w[grade - 1][center]
+                lhs, rhs = numerator * bm, bn * merged
+                if lhs <= rhs:
+                    root = ids[column.index(root_dist)]
+                    if lhs < rhs or (grade, center, root, -merged) < best[:4]:
+                        bn, bm = numerator, merged
+                        best = (grade, center, root, -merged, order, merged - 1)
+            if promotes:
+                numerator = wg[center]
                 m = 0
                 promoted = None  # index into roots, so the smallest id
                 for i in order:
@@ -344,16 +363,15 @@ def _best(forest: GrtForest, centers, grades) -> MergeCandidate | None:
                         if q == grade and (promoted is None or i < promoted):
                             promoted = i
                 if m > 1:  # the walk passed a root demanding `grade`
-                    found.append((numerator, m, roots[promoted], m))
-            for numerator, merged, root, m in found:
-                if best is not None:
-                    lhs, rhs = numerator * best[1], best[0] * merged
-                    if lhs > rhs or (lhs == rhs and (grade, center, root, -merged) >= best[2:6]):
-                        continue
-                best = (numerator, merged, grade, center, root, -merged, order, m)
+                    lhs, rhs = numerator * bm, bn * m
+                    if lhs < rhs or (
+                        lhs == rhs and (grade, center, roots[promoted], -m) < best[:4]
+                    ):
+                        bn, bm = numerator, m
+                        best = (grade, center, roots[promoted], -m, order, m)
     if best is None:
         return None
-    numerator, merged, grade, center, root, _, order, m = best
+    grade, center, root, _, order, m = best
     prefix = [i for i in order if req[i] <= grade][:m]
     subset = sorted(roots[i] for i in prefix if roots[i] != root)
     return MergeCandidate(
@@ -361,7 +379,7 @@ def _best(forest: GrtForest, centers, grades) -> MergeCandidate | None:
         center=center,
         grade=grade,
         subset_roots=tuple(subset),
-        gamma=ratio(Cost.from_micros(numerator), merged),
+        gamma=ratio(Cost.from_micros(bn), bm),
         # External roots connect at the candidate grade; promoted roots
         # have required == grade, so this row is always present.
         root_path=_winner_path(forest, root, min(grade, required[root]), center),
@@ -407,6 +425,7 @@ def apply_merge(forest: GrtForest, candidate: MergeCandidate) -> IterationRecord
         )
     instance = forest.instance
     required = instance.required
+    n = instance.num_vertices
 
     targets: dict[int, int] = {}
     for v in candidate.root_path:
@@ -451,7 +470,7 @@ def apply_merge(forest: GrtForest, candidate: MergeCandidate) -> IterationRecord
     for (source, g), row in forest.rows.items():
         if g in changed:
             w = forest.w[g - 1]
-            heap = [(row[v] + w[v], v) for v in changed[g] if v != source]
+            heap = [(row[v] + w[v]) * n + v for v in changed[g] if v != source]
             heapq.heapify(heap)
             _settle(row, w, instance.adjacency, heap)
 

@@ -119,8 +119,9 @@ def brute_force_dst(dst: DstInstance, cap: int = 14) -> Cost:
     optimal arborescence either is v alone, or branches at v into two
     optimal parts that pay v's price once (on the arc into v), or leaves v
     by one arc. A Dijkstra over the reversed arcs (``dst.in_arcs``), seeded
-    with the first two terms, resolves the third. Intended for equivalence
-    tests only.
+    with the first two terms, resolves the third. Its heap holds the ints
+    ``label * num_nodes + node``, which pop in (label, node) order. Intended
+    for equivalence tests only.
 
     The lattice holds only the terminals other than the root r: an
     arborescence rooted at r contains r and pays nothing for it, since no
@@ -170,10 +171,12 @@ def brute_force_dst(dst: DstInstance, cap: int = 14) -> Cost:
                 sub = (sub - 1) & mask
             label = list(map(min, *sums)) if len(sums) > 1 else list(sums[0])
         stop = root if mask == full else -1
-        heap = [(d, v) for v, d in enumerate(label) if d < INF]
+        heap = [d * n + v for v, d in enumerate(label) if d < INF]
         heapq.heapify(heap)
         while heap:
-            d, u = pop(heap)
+            key = pop(heap)
+            u = key % n
+            d = key // n
             if d > label[u]:
                 continue
             if u == stop:
@@ -182,7 +185,7 @@ def brute_force_dst(dst: DstInstance, cap: int = 14) -> Cost:
                 c += d
                 if c < label[v]:
                     label[v] = c
-                    push(heap, (c, v))
+                    push(heap, c * n + v)
         if mask == low and label[root] == INF:
             cut_off = others[low.bit_length() - 1]
             raise InputError(f"terminal {cut_off} is unreachable from root {root}")

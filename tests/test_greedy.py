@@ -624,6 +624,8 @@ def test_greedy_matches_pinned_records():
     ]
     cases += [(200, levels, 1, False) for levels in (2, 3)]
     cases += [(n, levels, 1, True) for n in (30, 60, 90, 120) for levels in (2, 3)]
+    cases += [(500, levels, 1, False) for levels in (2, 3)]
+    cases += [(200, levels, 1, True) for levels in (2, 3)]
     assert list(golden) == [
         f"n={n} levels={levels} seed={seed}" + (" uniform" if uniform else "")
         for n, levels, seed, uniform in cases
