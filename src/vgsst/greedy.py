@@ -324,7 +324,7 @@ def _best(forest: GrtForest, centers, grades) -> MergeCandidate | None:
             ids = [r for r, q in zip(roots, req) if q > g]
             columns = list(zip(*[rows[(r, g)] for r in ids]))
             plan.append((g, forest.w[g - 1], ids, columns, g in demanded))
-    bn, bm = 1, 0
+    bn, bm = 1, 0  # the best ratio so far; 1/0 until the first candidate
     best = None  # (grade, center, root, -merged, order, prefix length)
     for center in centers:
         col = native[center]
