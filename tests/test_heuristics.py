@@ -1,6 +1,10 @@
 """Layered heuristics: grade-factor bounds, tightness family, subroutines."""
 
+import json
 import math
+import os
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -319,3 +323,74 @@ def test_every_solver_tree_is_extract_tree_of_its_assignment():
     for name, inst, report in cases:
         assert report.tree_edges == extract_tree(inst, report.assignment), name
         assert cli._tree_failures(inst, report, None) == [], name
+
+
+# ---------------------------------------------------------------------------
+# Pinned layered answers
+
+GOLDEN_LAYERED = os.path.join(os.path.dirname(__file__), "golden", "layered_answers.json")
+
+
+def _relabelled(inst: Instance, rng: random.Random) -> Instance:
+    """``inst`` with its vertex ids shuffled by ``rng``, as the benchmark's corpus is."""
+    n = inst.num_vertices
+    perm = list(range(n))
+    rng.shuffle(perm)
+    costs = [None] * n
+    for v, ladder in enumerate(inst.costs):
+        costs[perm[v]] = ladder
+    return Instance.build(
+        n,
+        [(perm[u], perm[v]) for u, v in inst.edges],
+        inst.grades,
+        {perm[t]: r for t, r in inst.required.items()},
+        costs,
+    )
+
+
+def _layered_cases():
+    """(key, instance) for the benchmark's three-grade family at n = 90 and
+    120: generation seeds 1-4, each relabelled from seeds 1 and 2."""
+    for n in (90, 120):
+        for gen_seed in (1, 2, 3, 4):
+            base = random_instance(n, 3, seed=gen_seed, edge_prob=6 / n, terminal_fraction=0.3)
+            for relabel in (1, 2):
+                rng = random.Random(f"{relabel}:{n}:3:{gen_seed}")
+                yield f"n={n} L=3 seed={gen_seed} relabel={relabel}", _relabelled(base, rng)
+
+
+def _layered_answer(report) -> dict:
+    answer = {
+        "assignment": list(report.assignment),
+        "tree_edges": [list(e) for e in report.tree_edges],
+        "total": report.total_cost,
+    }
+    if report.grade_costs is not None:  # top-down only
+        answer["grade_costs"] = list(report.grade_costs)
+    return answer
+
+
+def _layered_answers() -> dict:
+    """Every pinned (solver, instance) answer, keyed as in the golden file."""
+    out = {}
+    for key, inst in _layered_cases():
+        for name, solve in (("topdown", solve_topdown), ("bottomup", solve_bottomup)):
+            out[f"{name} {key}"] = _layered_answer(solve(inst, greedy_as_vst))
+    return out
+
+
+def test_layered_solvers_match_pinned_answers():
+    # Assignment, tree and total of solve_topdown and solve_bottomup with
+    # greedy_as_vst, and top-down's per-grade spend, compared exactly.
+    with open(GOLDEN_LAYERED, encoding="utf-8") as fh:
+        golden = json.loads(fh.read(), parse_float=Decimal)
+    answers = _layered_answers()
+    assert list(answers) == list(golden)
+    for key, answer in answers.items():
+        expected = golden[key]
+        assert answer["assignment"] == expected["assignment"], key
+        assert answer["tree_edges"] == expected["tree_edges"], key
+        assert answer["total"] == Cost.parse(expected["total"]), key
+        assert answer.keys() == expected.keys(), key
+        if key.startswith("topdown"):
+            assert answer["grade_costs"] == [Cost.parse(c) for c in expected["grade_costs"]], key
