@@ -42,8 +42,10 @@ def single_grade_view(
 ) -> Instance:
     """Normalized one-grade instance over the same graph using one cost column.
 
-    Vertices in ``free`` (typically an already-bought, contracted region)
-    cost zero, so the subroutine can roam them at no charge. So do the
+    The view is made on ``instance``'s checked graph (see
+    :meth:`Instance._regraded`), so no graph rule runs again. Vertices
+    in ``free`` (typically an already-bought, contracted region) cost
+    zero, so the subroutine can roam them at no charge. So do the
     view's terminals: every answer holds them, and the layered solvers
     price answers on ``instance``, never on the view.
     """
@@ -55,7 +57,7 @@ def single_grade_view(
         [Cost.zero()] if v in zero else [instance.costs[v][grade - 1]]
         for v in range(instance.num_vertices)
     ]
-    return Instance.build(instance.num_vertices, instance.edges, 1, required, column)
+    return instance._regraded(1, required, column)
 
 
 def _check_vst_result(view: Instance, result: frozenset[int]) -> None:

@@ -57,9 +57,11 @@ class Instance(_Record):
     costs: per vertex, a ladder (c_1, ..., c_grades) of Cost values.
 
     Make instances with :meth:`build`, which enforces the structural
-    rules. The constructor is the plain record constructor, called only
-    by ``build`` and by unpickling. The cached properties are computed
-    on first access, outside equality.
+    rules, or derive one on a built instance's graph with
+    :meth:`_regraded`. The constructor is the plain record constructor,
+    called only by their shared tail :func:`_on_graph` and by
+    unpickling. The cached properties are computed on first access, or
+    carried over from the graph's, outside equality.
     """
 
     def __init__(
@@ -84,39 +86,35 @@ class Instance(_Record):
         found. Then every self-loop, duplicate edge, disconnected graph,
         decreasing ladder and empty terminal set is reported in one
         ``InputError`` that joins the :class:`Violation` lines with "; ".
-        The normalization rules are :func:`validate`'s.
+        The graph rules run here, the terminal and ladder rules in the
+        tail :func:`_on_graph` that :meth:`_regraded` shares. The
+        normalization rules are :func:`validate`'s.
         """
         if num_vertices < 1:
             raise InputError("instance needs at least one vertex")
         if grades < 1:
             raise InputError("instance needs at least one grade")
-        edge_list = sorted(canon_edge(u, v) for u, v in edges)
+        edge_list = tuple(sorted(canon_edge(u, v) for u, v in edges))
         for u, v in edge_list:
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise InputError(f"edge ({u},{v}) out of vertex range")
-        for v, r in required.items():
-            if not 0 <= v < num_vertices:
-                raise InputError(f"terminal {v} out of vertex range")
-            if not 1 <= r <= grades:
-                raise InputError(f"required grade {r} at vertex {v} out of range")
-        if len(costs) != num_vertices:
-            raise InputError("cost table must have one ladder per vertex")
-        ladders = []
-        for v, ladder in enumerate(costs):
-            if len(ladder) != grades:
-                raise InputError(f"cost ladder at vertex {v} must have {grades} entries")
-            ladders.append(tuple(Cost.parse(c) for c in ladder))
-        instance = Instance(
-            num_vertices=num_vertices,
-            edges=tuple(edge_list),
-            grades=grades,
-            required=dict(sorted(required.items())),
-            costs=tuple(ladders),
-        )
-        issues = _structural_violations(instance)
-        if issues:
-            raise InputError("; ".join(str(i) for i in issues))
-        return instance
+        masks, issues = _graph_violations(num_vertices, edge_list)
+        graph = {"_neighbor_masks": masks}
+        return _on_graph(num_vertices, edge_list, graph, grades, required, costs, issues)
+
+    def _regraded(
+        self, grades: int, required: Mapping[int, int], costs: Sequence[Sequence]
+    ) -> "Instance":
+        """This instance's graph with other grades, terminals and ladders.
+
+        The graph rules held when this instance was built, so only the
+        tail :func:`_on_graph` runs, and the result shares this
+        instance's ``edges``, ``adjacency`` and ``_neighbor_masks``.
+        It equals :meth:`build` of the same fields and raises the same
+        errors; ``grades`` is at least 1 at every caller.
+        """
+        graph = {"adjacency": self.adjacency, "_neighbor_masks": self._neighbor_masks}
+        return _on_graph(self.num_vertices, self.edges, graph, grades, required, costs)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -224,28 +222,64 @@ def _grade_reach(masks: Sequence[int], y: Sequence[int], grade: int, start: int)
     return level, _reach(masks, level, start) if level >> start & 1 else 0
 
 
-def _structural_violations(instance: Instance) -> list[Violation]:
-    """The rules :meth:`Instance.build` enforces, in reporting order."""
+def _graph_violations(
+    n: int, edges: tuple[Edge, ...]
+) -> tuple[tuple[int, ...], list[Violation]]:
+    """The graph half of :meth:`Instance.build`: the neighbour masks of the
+    sorted ``edges``, and their self-loops, duplicates and disconnection."""
     out: list[Violation] = []
     prev = None
-    for edge in instance.edges:  # sorted, so a duplicate follows its twin
+    for edge in edges:  # sorted, so a duplicate follows its twin
         if edge[0] == edge[1]:
             out.append(Violation("self-loop", edge, "self-loops are rejected"))
         elif edge == prev:
             out.append(Violation("duplicate-edge", edge, "multigraphs are rejected"))
         prev = edge
-    full = (1 << instance.num_vertices) - 1
-    if _reach(instance._neighbor_masks, full, 0) != full:
+    masks = tuple(_edge_masks(n, edges))
+    full = (1 << n) - 1
+    if _reach(masks, full, 0) != full:
         out.append(Violation("connectivity", None, "graph is not connected"))
-    for v, ladder in enumerate(instance.costs):
-        for i in range(1, instance.grades):
+    return masks, out
+
+
+def _on_graph(
+    n: int, edges: tuple[Edge, ...], graph: dict, grades: int,
+    required: Mapping[int, int], costs: Sequence[Sequence], issues: Sequence[Violation] = (),
+) -> Instance:
+    """The tail every instance is made by: check and store its terminals and ladders.
+
+    ``edges`` are canonical and sorted, ``graph`` holds the cached
+    properties computed from them, and ``issues`` the graph's
+    violations. Terminal ids and demands and ladder lengths raise at the
+    first one out of range; decreasing ladders and an empty terminal
+    set follow ``issues`` into one ``InputError``.
+    """
+    for v, r in required.items():
+        if not 0 <= v < n:
+            raise InputError(f"terminal {v} out of vertex range")
+        if not 1 <= r <= grades:
+            raise InputError(f"required grade {r} at vertex {v} out of range")
+    if len(costs) != n:
+        raise InputError("cost table must have one ladder per vertex")
+    ladders = []
+    for v, ladder in enumerate(costs):
+        if len(ladder) != grades:
+            raise InputError(f"cost ladder at vertex {v} must have {grades} entries")
+        ladders.append(tuple(Cost.parse(c) for c in ladder))
+    out = list(issues)
+    for v, ladder in enumerate(ladders):
+        for i in range(1, grades):
             if ladder[i].micros < ladder[i - 1].micros:
                 detail = f"c_{i + 1}={ladder[i]} < c_{i}={ladder[i - 1]}"
                 out.append(Violation("cost-monotonicity", v, detail))
                 break
-    if not instance.required:
+    if not required:
         out.append(Violation("terminals", None, "terminal set is empty"))
-    return out
+    if out:
+        raise InputError("; ".join(str(i) for i in out))
+    instance = Instance(n, edges, grades, dict(sorted(required.items())), tuple(ladders))
+    instance.__dict__.update(graph)
+    return instance
 
 
 def validate(instance: Instance) -> list[Violation]:
@@ -309,8 +343,8 @@ def normalize(instance: Instance) -> NormalizeResult:
     moves into the offset; later upgrades are charged only their
     increment. The grade count drops to the highest grade demanded.
     Vertices, edges, terminals and the feasible set stay the same. An
-    instance already in this form is returned as is. Any built instance
-    can be normalized: :meth:`Instance.build` has checked its structure.
+    instance already in this form is returned as is; any other is
+    rebuilt on the original's checked graph.
     """
     top = max(instance.required.values())
     ladders = [list(ladder[:top]) for ladder in instance.costs]
@@ -321,9 +355,7 @@ def normalize(instance: Instance) -> NormalizeResult:
         offset = offset + paid
 
     if offset != Cost.zero() or top < instance.grades:
-        instance = Instance.build(
-            instance.num_vertices, instance.edges, top, instance.required, ladders
-        )
+        instance = instance._regraded(top, instance.required, ladders)
     return NormalizeResult(instance=instance, offset=offset)
 
 
