@@ -261,18 +261,18 @@ def _on_graph(
             raise InputError(f"required grade {r} at vertex {v} out of range")
     if len(costs) != n:
         raise InputError("cost table must have one ladder per vertex")
+    out = list(issues)
     ladders = []
     for v, ladder in enumerate(costs):
         if len(ladder) != grades:
             raise InputError(f"cost ladder at vertex {v} must have {grades} entries")
-        ladders.append(tuple(Cost.parse(c) for c in ladder))
-    out = list(issues)
-    for v, ladder in enumerate(ladders):
+        ladder = tuple(map(Cost.parse, ladder))
         for i in range(1, grades):
             if ladder[i].micros < ladder[i - 1].micros:
                 detail = f"c_{i + 1}={ladder[i]} < c_{i}={ladder[i - 1]}"
                 out.append(Violation("cost-monotonicity", v, detail))
                 break
+        ladders.append(ladder)
     if not required:
         out.append(Violation("terminals", None, "terminal set is empty"))
     if out:

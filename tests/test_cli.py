@@ -864,8 +864,13 @@ def test_subcommands_load_only_what_they_run(fig3_file, tmp_path):
         assert name not in verify
 
 
-# Runs the CLI as ``python -m vgsst.cli`` does, then prints a last line
-# naming which of dataclasses and inspect it loaded.
+# Prints a line naming which of dataclasses and inspect are loaded.
+_HEAVY_LOADED = """
+import sys
+print("loaded:", *sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+# Runs the CLI as ``python -m vgsst.cli`` does, then prints that line last.
 _HEAVY_BY_CLI = """
 import runpy, sys
 sys.argv = ["vgsst", *sys.argv[1:]]
@@ -873,15 +878,19 @@ try:
     runpy.run_module("vgsst.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     assert not exc.code, exc.code
-print("loaded:", *sorted({"dataclasses", "inspect"} & set(sys.modules)))
-"""
+""" + _HEAVY_LOADED
 
 
 def test_cli_calls_load_no_dataclasses_or_inspect(fig3_file, tmp_path):
+    # Some interpreters import inspect at start-up, so a CLI call is
+    # compared with a bare ``python -c`` run with the same flags and
+    # environment, and may add neither module to what that loads.
+    bare = set(_fresh_python("-c", _HEAVY_LOADED).stdout.split()[1:])
     sol = str(tmp_path / "s.json")
     for argv in (["solve", fig3_file, "-o", sol], ["verify", fig3_file, sol]):
-        out = _fresh_python("-c", _HEAVY_BY_CLI, *argv).stdout
-        assert out.splitlines()[-1] == "loaded:", argv
+        last = _fresh_python("-c", _HEAVY_BY_CLI, *argv).stdout.splitlines()[-1].split()
+        assert last[0] == "loaded:", argv
+        assert set(last[1:]) - bare == set(), argv
 
 
 def test_lazy_exports_resolve_to_their_modules():

@@ -151,6 +151,125 @@ def test_single_grade_view_refuses_a_grade_out_of_range(fig3, grade):
 
 
 # ---------------------------------------------------------------------------
+# Views and normalized copies on the parent's graph
+
+
+def _shares_graph(derived: Instance, parent: Instance) -> bool:
+    return (
+        derived.edges is parent.edges
+        and derived.adjacency is parent.adjacency
+        and derived._neighbor_masks is parent._neighbor_masks
+    )
+
+
+def test_views_equal_a_build_and_share_the_parent_graph(fig3):
+    for inst in [fig3] + mixed_corpus(30, seed0=8100):
+        for grade in range(1, inst.grades + 1):
+            terminals = inst.terminals[1:] or inst.terminals
+            for free in ((), range(0, inst.num_vertices, 3)):
+                view = single_grade_view(inst, grade, terminals, free=free)
+                zero = set(free) | set(terminals)
+                column = [
+                    [0] if v in zero else [inst.costs[v][grade - 1]]
+                    for v in range(inst.num_vertices)
+                ]
+                built = Instance.build(
+                    inst.num_vertices, list(inst.edges), 1, {t: 1 for t in terminals}, column
+                )
+                assert view == built, (inst, grade, free)
+                assert view.adjacency == built.adjacency
+                assert view._neighbor_masks == built._neighbor_masks
+                assert validate(view) == [], (inst, grade, free)
+                assert _shares_graph(view, inst), (inst, grade, free)
+
+
+def test_normalize_rebuilds_equal_a_build_and_share_the_original_graph(fig3):
+    for inst in [fig3] + mixed_corpus(30, seed0=8200):
+        costly = _with_costly_terminals(inst)
+        result = normalize(costly)
+        assert result.instance is not costly
+        top = max(costly.required.values())
+        ladders = [list(ladder[:top]) for ladder in costly.costs]
+        for t, r in costly.required.items():
+            paid = ladders[t][r - 1].micros
+            ladders[t] = [Cost.from_micros(max(c.micros - paid, 0)) for c in ladders[t]]
+        built = Instance.build(
+            costly.num_vertices, list(costly.edges), top, dict(costly.required), ladders
+        )
+        assert result.instance == built, inst
+        assert validate(result.instance) == [], inst
+        assert _shares_graph(result.instance, costly), inst
+
+
+@pytest.mark.parametrize(
+    "grades, required, costs, message",
+    [
+        (2, {0: 2, 99: 1}, None, r"terminal 99 out of vertex range"),
+        (2, {}, None, r"terminals at None: terminal set is empty"),
+        (2, {0: 3}, None, r"required grade 3 at vertex 0 out of range"),
+        (2, {0: 2}, "short", r"cost table must have one ladder per vertex"),
+        (2, {0: 2}, "one-entry", r"cost ladder at vertex 0 must have 2 entries"),
+        (2, {0: 2}, "decreasing", r"cost-monotonicity at 1: c_2=1 < c_1=2"),
+    ],
+)
+def test_derived_instances_raise_what_build_raises(fig3, grades, required, costs, message):
+    ladders = [list(ladder) for ladder in fig3.costs]
+    if costs == "short":
+        ladders = ladders[:-1]
+    elif costs == "one-entry":
+        ladders[0] = ladders[0][:1]
+    elif costs == "decreasing":
+        ladders[1] = [2, 1]
+    with pytest.raises(InputError, match=rf"^{message}$") as built:
+        Instance.build(fig3.num_vertices, fig3.edges, grades, required, ladders)
+    with pytest.raises(InputError, match=rf"^{message}$") as derived:
+        fig3._regraded(grades, required, ladders)
+    assert str(derived.value) == str(built.value)
+
+
+@pytest.mark.parametrize(
+    "terminals, message",
+    [([0, 99], r"terminal 99 out of vertex range"),
+     ([], r"terminals at None: terminal set is empty")],
+)
+def test_single_grade_view_refuses_bad_terminals(fig3, terminals, message):
+    with pytest.raises(InputError, match=rf"^{message}$"):
+        single_grade_view(fig3, 1, terminals)
+
+
+def test_layered_solvers_check_no_graph_again(monkeypatch):
+    # The instance's graph was checked when it was built; neither solver
+    # re-runs the graph rules or walks the whole vertex set for them.
+    inst = random_instance(90, 3, seed=1, edge_prob=6 / 90, terminal_fraction=0.3)
+    full = (1 << inst.num_vertices) - 1
+    calls = []
+    real_graph, real_reach = vgsst.instance._graph_violations, vgsst.instance._reach
+    monkeypatch.setattr(
+        vgsst.instance, "_graph_violations",
+        lambda *args: calls.append("graph") or real_graph(*args),
+    )
+    monkeypatch.setattr(
+        vgsst.instance, "_reach",
+        lambda masks, level, start: (level == full and calls.append("full walk"))
+        or real_reach(masks, level, start),
+    )
+    views = []
+
+    def vst(view):
+        views.append(view)
+        return greedy_as_vst(view)
+
+    for solve, rounds in ((solve_topdown, 3), (solve_bottomup, 1)):
+        views.clear()
+        solve(inst, vst)
+        assert len(views) == rounds, solve
+        assert calls == [], solve
+    # The counters see a fresh build.
+    Instance.build(inst.num_vertices, inst.edges, inst.grades, inst.required, inst.costs)
+    assert calls == ["graph", "full walk"]
+
+
+# ---------------------------------------------------------------------------
 # Bottom-up
 
 
