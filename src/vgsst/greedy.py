@@ -13,13 +13,16 @@ vertex, upgrading grades along the connecting paths. Terminates when a
 single tree remains; the cost is within 2*ln(#terminals) of optimal.
 
 The distances come from per-(root, grade) rows of plain integers that
-live on the forest across rounds. One Dijkstra loop, ``_settle``, both
-fills them in the first scan and repairs them in place after each merge,
-which only ever lowers weights. The winner's paths come from the same loop
-run from each path's root and stopped once it pops the center, after a
-check in one O(m) pass that every row the winner reads is exact. Its heap
-holds single ints ``label * n + vertex``: with 0 <= vertex < n they pop in
-the (label, vertex) order that pairs would, so every tie-break is kept.
+live on the forest across rounds. Two Dijkstra loops keep them. The
+fresh run, ``_dijkstra``, fills them in the first scan: it sets each
+vertex once, from its first popped neighbour, and pushes it once. The
+repair, ``_settle``, lowers them in place after each merge, which only
+ever lowers weights; there an entry can fall twice, so it skips stale
+keys. The winner's paths come from the fresh run from each path's root,
+stopped once it pops the center, after a check in one O(m) pass that
+every row the winner reads is exact. Both heaps hold single ints
+``label * n + vertex``: with 0 <= vertex < n they pop in the
+(label, vertex) order that pairs would, so every tie-break is kept.
 
 Each round's scan reads the rows as columns, one per center, plans the
 grades once, and sorts the roots by distance once per center for every
@@ -155,7 +158,8 @@ def init_forest(instance: Instance) -> GrtForest:
 def graded_shortest_paths(forest: GrtForest, source: int, grade: int) -> GradedDistanceRow:
     """Dijkstra over vertex weights for one grade, endpoint costs excluded.
 
-    Ties settle by vertex id, so predecessor chains are reproducible.
+    A vertex's predecessor is its first popped neighbour, and equal labels
+    pop by vertex id, so predecessor chains are reproducible.
     """
     n = forest.instance.num_vertices
     if not 0 <= source < n:
@@ -163,47 +167,70 @@ def graded_shortest_paths(forest: GrtForest, source: int, grade: int) -> GradedD
     if not 1 <= grade <= forest.instance.grades:
         raise InputError(f"grade {grade} out of range")
     _, row, preds = _dijkstra(forest, source, grade)
-    if float("inf") in row:
+    if None in row:
         raise InternalInvariantError("graph must be connected")
     return GradedDistanceRow(source, grade, tuple(row), tuple(preds))
 
 
 def _dijkstra(forest: GrtForest, source: int, grade: int, stop: int = -1):
-    """``_settle`` from ``source`` under the grade's weights with the
-    source's set to 0: those weights, the row and the predecessors."""
+    """The fresh run from ``source`` under the grade's weights with the
+    source's set to 0: those weights, the row of interior distances
+    (``None`` where unreached) and the predecessors (-1 there).
+
+    A heap entry is the single int ``label * n + u``, the label being
+    ``row[u] + w[u]`` (path weight, source excluded), and decodes as
+    ``key // n`` and ``key % n``. Since 0 <= u < n, two keys compare as
+    their (label, u) pairs do, so ints pop in the order the pairs would,
+    and cost less to compare and build.
+
+    Each vertex is set once, on first touch, by the neighbour popped
+    first. Weights are non-negative, so every label pushed is at least
+    the one popped and labels pop in non-decreasing order: a later
+    neighbour offers a label no lower, which a strict-improvement
+    Dijkstra would not take. So a vertex's first entry is its last, each
+    vertex is pushed once, no popped key is stale, and rows and
+    predecessors are a textbook Dijkstra's whose equal labels pop by
+    vertex id.
+
+    The loop stops once it pops ``stop``; fills pass no vertex. A stopped
+    run pops exactly what the full run pops up to that point, and every
+    vertex on a popped vertex's predecessor chain was popped before it,
+    so the chain to ``stop`` is the full run's, tie-breaks included.
+    """
     w = forest.w[grade - 1][:]
     w[source] = 0
-    row: list = [float("inf")] * len(w)
+    n = len(w)
+    row: list = [None] * n
     row[source] = 0
-    preds = [-1] * len(w)
-    _settle(row, w, forest.instance.adjacency, [source], preds, stop)
+    preds = [-1] * n
+    adjacency = forest.instance.adjacency
+    pop, push = heapq.heappop, heapq.heappush
+    heap = [source]
+    while heap:
+        key = pop(heap)
+        u = key % n
+        if u == stop:
+            break
+        d = key // n
+        for x in adjacency[u]:
+            if row[x] is None:
+                row[x] = d
+                preds[x] = u
+                push(heap, (d + w[x]) * n + x)
     return w, row, preds
 
 
-def _settle(
-    row: list, w: list[int], adjacency, heap: list, preds: list | None = None, stop: int = -1
-) -> None:
-    """The greedy's one Dijkstra: lower the interior distances ``row`` in place
-    from the labels ``row[u] + w[u]`` (path weight, source excluded) in ``heap``.
+def _settle(row: list[int], w: list[int], adjacency, heap: list) -> None:
+    """The greedy's repair Dijkstra: lower the interior distances ``row``
+    in place from the labels ``row[u] + w[u]`` in ``heap``, keyed as in
+    ``_dijkstra``.
 
-    A heap entry is the single int ``label * n + u``, n = ``len(row)``, and
-    decodes as ``key // n`` and ``key % n``. Since 0 <= u < n, two keys
-    compare as their (label, u) pairs do, so ints pop in the order the
-    pairs would, and cost less to compare and build.
-
-    Improvements are strict and equal labels pop by vertex id, so ``preds``
-    is reproducible. The fill seeds the source, on an all-infinite row with
-    the source's entry and weight at 0. A merge only lowers weights, and the
-    repair seeds the vertices whose weight fell: the first vertex on a new
-    shortest path whose entry is still too high has a correct predecessor,
-    whose label either fell, so it was seeded or pushed, or did not, so the
-    old entry was already right.
-
-    The loop returns as soon as it pops ``stop`` with a current label; the
-    fill and the repair pass no vertex. A stopped fill pops exactly what the
-    full fill pops up to that point, and every vertex on a popped vertex's
-    predecessor chain was popped before it, so the chain to ``stop`` is the
-    full fill's, tie-breaks included.
+    A merge only lowers weights, and the repair seeds the vertices whose
+    weight fell: the first vertex on a new shortest path whose entry is
+    still too high has a correct predecessor, whose label either fell, so
+    it was seeded or pushed, or did not, so the old entry was already
+    right. Unlike a fresh run, a repair can lower an entry it has already
+    lowered, so it skips keys whose label is no longer the vertex's.
     """
     n = len(row)
     pop, push = heapq.heappop, heapq.heappush
@@ -213,14 +240,10 @@ def _settle(
         d = key // n
         if d != row[u] + w[u]:
             continue
-        if u == stop:
-            return
         for x in adjacency[u]:
             # row[source] is 0, so the source is never lowered.
             if d < row[x]:
                 row[x] = d
-                if preds is not None:
-                    preds[x] = u
                 push(heap, (d + w[x]) * n + x)
 
 

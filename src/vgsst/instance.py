@@ -518,12 +518,28 @@ def spanning_tree_by_levels(instance: Instance, y: Sequence[int]) -> list[Edge]:
     endpoints both reach the current grade; edges are tried in smallest-
     endpoint order, so the result is reproducible. Any two vertices already
     connected inside a level set stay connected using only that level set.
+
+    Each edge is tried once, at the grade of its lower endpoint (the top
+    grade for any higher). Trying every edge at every grade chooses the
+    same list: an edge whose lower endpoint sits above grade g was tried
+    at its own, higher grade, and its endpoints have been joined since.
     """
+    top = instance.grades
+    buckets: list[list[Edge]] = [[] for _ in range(top + 1)]
+    for edge in instance.edges:
+        # Compares, not min(): every solver exit runs this over all edges,
+        # and the call would cost more than the per-grade passes it replaces.
+        u, v = edge
+        low = y[u]
+        if y[v] < low:
+            low = y[v]
+        if low > 0:
+            buckets[low if low < top else top].append(edge)
     uf = _UnionFind(instance.num_vertices)
     chosen: list[Edge] = []
-    for grade in range(instance.grades, 0, -1):
-        for u, v in instance.edges:
-            if y[u] >= grade and y[v] >= grade and uf.union(u, v):
+    for bucket in reversed(buckets):
+        for u, v in bucket:
+            if uf.union(u, v):
                 chosen.append((u, v))
     return chosen
 

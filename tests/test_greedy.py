@@ -27,6 +27,7 @@ from vgsst import (
     random_instance,
     reduce_to_dst,
     select_global_candidate,
+    single_grade_view,
     solution_cost,
     solve_greedy,
 )
@@ -536,6 +537,47 @@ def test_winner_paths_run_no_full_dijkstra(monkeypatch, fig3):
         assert len(calls) == sum(inst.required[t] for t in inst.terminals)
 
 
+class _CountingHeapq:
+    """Stands in for ``heapq`` in ``greedy``, counting pushes and pops."""
+
+    heapify = staticmethod(heapq.heapify)
+
+    def __init__(self):
+        self.pushes = self.pops = 0
+
+    def heappush(self, heap, item):
+        self.pushes += 1
+        heapq.heappush(heap, item)
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
+def test_fills_push_each_vertex_once(monkeypatch, fig3):
+    # A fresh row starts from its source and pushes every other vertex
+    # exactly once, so it pops n keys and none of them is stale; from every
+    # root and a non-terminal, at every grade, before and after merges.
+    counter = _CountingHeapq()
+    monkeypatch.setattr(greedy, "heapq", counter)
+    corpus = [fig3] + mixed_corpus(20, seed0=5950)
+    corpus += [_uniform_ladders(inst) for inst in mixed_corpus(20, seed0=5960)]
+    corpus += [random_instance(60, 3, seed=1, edge_prob=0.1, terminal_fraction=0.3)]
+    for inst in corpus:
+        n = inst.num_vertices
+        other = next(v for v in range(n) if v not in inst.required)
+        forest = init_forest(inst)
+        while True:
+            for source in forest.roots() + [other]:
+                for grade in range(1, inst.grades + 1):
+                    counter.pushes = counter.pops = 0
+                    graded_shortest_paths(forest, source, grade)
+                    assert (counter.pushes, counter.pops) == (n - 1, n), (source, grade)
+            if len(forest) < 2:
+                break
+            apply_merge(forest, select_global_candidate(forest))
+
+
 def _textbook_dijkstra(inst, weights, source):
     """Reference: path weights excluding the source and including the
     target, ``(dist, vertex)`` heap entries, strict improvement only.
@@ -561,15 +603,36 @@ def _textbook_dijkstra(inst, weights, source):
     return interior, preds
 
 
+def _free_region(inst):
+    """Vertex 0 with everything within two hops of it, and every fourth
+    vertex besides."""
+    region = {0}
+    for _ in range(2):
+        region |= {x for u in region for x in inst.adjacency[u]}
+    return region | set(range(1, inst.num_vertices, 4))
+
+
 def test_shortest_paths_match_a_textbook_dijkstra():
     # Distances and predecessor tie-breaks, from every root at every grade
     # and from a few non-terminals, before the first merge and after each.
+    # Zero weights are where equal labels, and so tie-breaks, pile up:
+    # uniform ladders price every terminal at zero, and single-grade views
+    # also zero a connected free region and a scattered free set.
     corpus = mixed_corpus(30, seed0=5700)
+    corpus += [_uniform_ladders(inst) for inst in mixed_corpus(30, seed0=5500)]
     corpus += [
         _uniform_ladders(random_instance(n, levels, seed=1, edge_prob=6 / n, terminal_fraction=0.3))
         for n in (30, 60, 90, 120)
         for levels in (2, 3)
     ]
+    bases = mixed_corpus(20, seed0=5900) + [
+        random_instance(n, 3, seed=1, edge_prob=6 / n, terminal_fraction=0.3) for n in (60, 90)
+    ]
+    for base in bases:
+        for grade in range(1, base.grades + 1):
+            corpus.append(
+                single_grade_view(base, grade, base.terminals, free=_free_region(base))
+            )
     for inst in corpus:
         others = [v for v in range(inst.num_vertices) if v not in inst.required]
         forest = init_forest(inst)

@@ -1,5 +1,6 @@
 """Data model: validation, feasibility, costs, tree extraction."""
 
+import random
 from itertools import product
 
 import pytest
@@ -14,10 +15,17 @@ from vgsst import (
     check_feasible,
     extract_tree,
     fig3_instance,
+    random_instance,
     solution_cost,
+    solve_greedy,
     validate,
 )
-from vgsst.instance import _solver_report, _UnionFind, feasibility_tester
+from vgsst.instance import (
+    _solver_report,
+    _UnionFind,
+    feasibility_tester,
+    spanning_tree_by_levels,
+)
 
 from conftest import mixed_corpus
 
@@ -253,6 +261,40 @@ def test_extract_tree_paths_respect_pair_demands():
                 assert all(
                     report.assignment[w] >= floor for w in tree_path(a, b)
                 )
+
+
+def _tree_by_level_passes(instance, y):
+    """Reference: one pass over every edge per grade, from the top down."""
+    uf = _UnionFind(instance.num_vertices)
+    chosen = []
+    for grade in range(instance.grades, 0, -1):
+        for u, v in instance.edges:
+            if y[u] >= grade and y[v] >= grade and uf.union(u, v):
+                chosen.append((u, v))
+    return chosen
+
+
+def test_bucketed_levels_choose_what_one_pass_per_grade_chooses():
+    # The chosen list, order included, on solver answers and on arbitrary
+    # grade vectors (grades above the top one too), over small instances
+    # and the benchmark's solvers family.
+    small = mixed_corpus(40, seed0=9900)
+    family = [
+        random_instance(n, levels, seed=seed, edge_prob=6 / n, terminal_fraction=0.3)
+        for n, levels in ((60, 2), (60, 3), (90, 2), (90, 3), (120, 2), (120, 3))
+        for seed in (1, 2)
+    ]
+    rng = random.Random(9900)
+    for inst in small + family:
+        answers = [solve_greedy(inst).assignment]
+        if inst.num_vertices <= 8:
+            answers.append(brute_force_optimum(inst).assignment)
+        answers += [
+            [rng.randint(0, inst.grades + 1) for _ in range(inst.num_vertices)]
+            for _ in range(6)
+        ]
+        for y in answers:
+            assert spanning_tree_by_levels(inst, y) == _tree_by_level_passes(inst, y), y
 
 
 # ---------------------------------------------------------------------------
