@@ -31,7 +31,6 @@ _EXPORTS = {
         "MergeCandidate",
         "StaleCandidateError",
         "apply_merge",
-        "best_candidate_for",
         "graded_shortest_paths",
         "init_forest",
         "select_global_candidate",
@@ -75,7 +74,6 @@ _EXPORTS = {
         "solution_to_json",
     ),
     "oracle": (
-        "CutRow",
         "IlpModel",
         "IlpSolution",
         "build_ilp",

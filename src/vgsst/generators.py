@@ -13,7 +13,7 @@ import random
 from decimal import Decimal
 
 from .costs import COST_SCALE, Cost
-from .instance import InputError, Instance, _edge_masks, _reach
+from .instance import InputError, Instance, _graph_violations, _on_graph
 
 #: Connectivity draws ``random_instance`` makes before giving up.
 _MAX_ATTEMPTS = 300
@@ -103,10 +103,13 @@ def random_instance(
     """Seeded random connected instance in normalized form.
 
     Edges are sampled independently and the draw is rejected until the
-    graph comes out connected. Cost ladders are prefix sums of increments
-    drawn from {0, 0.1, ..., 1.0}, so they are non-decreasing on the exact
-    grid by construction. Terminal demands are uniform, with one terminal
-    bumped to the top grade; terminal ladders are zeroed up to the demand.
+    graph comes out connected. That check is the graph's only one: the
+    instance is finished by the tail :meth:`Instance.build` ends in, so
+    it equals ``Instance.build`` of its own fields. Cost ladders are
+    prefix sums of increments drawn from {0, 0.1, ..., 1.0}, so they are
+    non-decreasing on the exact grid by construction. Terminal demands
+    are uniform, with one terminal bumped to the top grade; terminal
+    ladders are zeroed up to the demand.
     """
     if n < 1:
         raise InputError("need at least one vertex")
@@ -116,16 +119,16 @@ def random_instance(
         raise InputError("edge probability must be within [0, 1]")
     rng = random.Random(seed)
 
-    edges: list[tuple[int, int]] = []
     for _ in range(_MAX_ATTEMPTS):
-        edges = [
+        # Drawn canonical and sorted, so only connectivity can fail.
+        edges = tuple(
             (u, v)
             for u in range(n)
             for v in range(u + 1, n)
             if rng.random() < edge_prob
-        ]
-        full = (1 << n) - 1
-        if _reach(_edge_masks(n, edges), full, 0) == full:
+        )
+        masks, issues = _graph_violations(n, edges)
+        if not issues:
             break
     else:
         raise InputError(
@@ -158,4 +161,4 @@ def random_instance(
             ]
         costs.append(ladder)
 
-    return Instance.build(n, edges, levels, required, costs)
+    return _on_graph(n, edges, {"_neighbor_masks": masks}, levels, required, costs)

@@ -20,9 +20,11 @@ repair, ``_settle``, lowers them in place after each merge, which only
 ever lowers weights; there an entry can fall twice, so it skips stale
 keys. The winner's paths come from the fresh run from each path's root,
 stopped once it pops the center, after a check in one O(m) pass that
-every row the winner reads is exact. Both heaps hold single ints
-``label * n + vertex``: with 0 <= vertex < n they pop in the
-(label, vertex) order that pairs would, so every tie-break is kept.
+every row the winner reads is exact; ``instance._path``, the package's
+one parent-link walker, reads them off the run's predecessors. Both
+heaps hold single ints ``label * n + vertex``: with 0 <= vertex < n they
+pop in the (label, vertex) order that pairs would, so every tie-break is
+kept.
 
 Each round's scan reads the rows as columns, one per center, plans the
 grades once, and sorts the roots by distance once per center for every
@@ -47,6 +49,7 @@ from .instance import (
     InternalInvariantError,
     IterationRecord,
     SolutionReport,
+    _path,
     _solver_report,
     assert_valid,
 )
@@ -76,16 +79,6 @@ class GradedDistanceRow(_Record):
     def path_to(self, v: int) -> tuple[int, ...]:
         """Vertices from source to v, inclusive."""
         return _path(self.preds, self.source, v)
-
-
-def _path(preds, source: int, v: int) -> tuple[int, ...]:
-    path = [v]
-    while path[-1] != source:
-        prev = preds[path[-1]]
-        if prev < 0:
-            raise InternalInvariantError(f"no path recorded to {v}")
-        path.append(prev)
-    return tuple(reversed(path))
 
 
 class MergeCandidate(_Record):
@@ -411,19 +404,6 @@ def _best(forest: GrtForest, centers, grades) -> MergeCandidate | None:
         ),
         forest_version=forest.version,
     )
-
-
-def best_candidate_for(
-    forest: GrtForest, center: int, grade: int
-) -> MergeCandidate | None:
-    """Ratio-minimal legal merge for a fixed center and grade, if any."""
-    if len(forest) < 2:
-        raise InputError("need at least two trees to merge")
-    if not 0 <= center < forest.instance.num_vertices:
-        raise InputError(f"center {center} out of range")
-    if not 1 <= grade <= forest.instance.grades:
-        raise InputError(f"grade {grade} out of range")
-    return _best(forest, [center], [grade])
 
 
 def select_global_candidate(forest: GrtForest) -> MergeCandidate:

@@ -58,10 +58,12 @@ class Instance(_Record):
 
     Make instances with :meth:`build`, which enforces the structural
     rules, or derive one on a built instance's graph with
-    :meth:`_regraded`. The constructor is the plain record constructor,
-    called only by their shared tail :func:`_on_graph` and by
-    unpickling. The cached properties are computed on first access, or
-    carried over from the graph's, outside equality.
+    :meth:`_regraded`; ``generators.random_instance`` checks its drawn
+    graph with :func:`_graph_violations` and finishes as ``build`` does.
+    The constructor is the plain record constructor, called only by
+    their shared tail :func:`_on_graph` and by unpickling. The cached
+    properties are computed on first access, or carried over from the
+    graph's, outside equality.
     """
 
     def __init__(
@@ -192,6 +194,23 @@ def _edge_masks(n: int, edges: Iterable[Edge]) -> list[int]:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
+
+
+def _path(parent, top: int, v: int) -> tuple[int, ...]:
+    """Vertices from ``top`` down to ``v``: the parent links from ``v``
+    climbed to its ancestor ``top``, reversed.
+
+    The one parent-link walker of the package: the greedy's predecessor
+    rows and the rooted trees of ``reductions`` both walk through it. A
+    negative link before ``top`` means ``v`` was never reached from it.
+    """
+    path = [v]
+    while path[-1] != top:
+        prev = parent[path[-1]]
+        if prev < 0:
+            raise InternalInvariantError(f"no path recorded to {v}")
+        path.append(prev)
+    return tuple(reversed(path))
 
 
 def _reach(adj_masks: Sequence[int], level: int, start: int) -> int:

@@ -13,13 +13,14 @@ heads a subtree of infeasible points only (see ``_scan_lattice``).
 The cut model stores only what its rows derive from: the neighbour
 masks and, per grade, the terminals demanding it. A row's neighbourhood
 is its subset's entry in one table of every subset's boundary.
-``IlpModel.cuts`` builds ``CutRow`` objects from it on first access, for
-export and inspection; the solve builds none and scans only the
-non-dominated distinct masks of each grade. A row at grade g' >= g
-whose neighbourhood is a subset of another row's implies that row: the
-vertex of grade >= g' that satisfies it lies in the larger neighbourhood
-too. Dropping implied rows leaves the feasible region, and so the first
-feasible point of the walk, unchanged.
+``IlpModel.cuts`` builds the rows from it on first access, as plain
+``(grade, subset_mask, neighborhood)`` tuples, for export and
+inspection; the solve builds none and scans only the non-dominated
+distinct masks of each grade. A row at grade g' >= g whose neighbourhood
+is a subset of another row's implies that row: the vertex of grade >= g'
+that satisfies it lies in the larger neighbourhood too. Dropping
+implied rows leaves the feasible region, and so the first feasible point
+of the walk, unchanged.
 """
 
 from __future__ import annotations
@@ -140,14 +141,6 @@ def exact_vst(view: Instance) -> frozenset[int]:
 # Cut-based 0/1 model
 
 
-class CutRow(_Record):
-    """One connectivity cut: some grade-``grade`` facility must sit in the
-    neighborhood of the vertex set ``subset`` (stored as a bitmask)."""
-
-    def __init__(self, grade: int, subset_mask: int, neighborhood: tuple[int, ...]):
-        self.__dict__.update(grade=grade, subset_mask=subset_mask, neighborhood=neighborhood)
-
-
 class IlpModel(_Record):
     """Binary model over x[v][i] = "v carries a facility of grade >= i".
 
@@ -174,14 +167,17 @@ class IlpModel(_Record):
         )
 
     @cached_property
-    def cuts(self) -> tuple[CutRow, ...]:
-        """Every cut row, grade ascending, then subset mask ascending."""
+    def cuts(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """Every cut row as ``(grade, subset_mask, neighborhood)``: some
+        facility of grade ``grade`` must sit in ``neighborhood``, the
+        vertices bordering the subset. Grade ascending, then subset mask
+        ascending."""
         boundary = _boundaries(self.neighbor_masks)
         # One tuple per distinct boundary, shared by every row that has it.
         vertices = range(self.num_vertices)
         shared = {b: tuple(v for v in vertices if b >> v & 1) for b in set(boundary)}
         return tuple(
-            CutRow(grade=grade, subset_mask=s, neighborhood=shared[boundary[s]])
+            (grade, s, shared[boundary[s]])
             for grade, subsets in _row_subsets(self).items() for s in subsets
         )
 
@@ -268,9 +264,9 @@ def export_lp(model: IlpModel) -> str:
             terms.append(f"{coef} x_{v}_{i}")
     lines.append(" obj: " + " + ".join(terms))
     lines.append("Subject To")
-    for cut in model.cuts:
-        row = " + ".join(f"x_{v}_{cut.grade}" for v in cut.neighborhood)
-        lines.append(f" cut_{cut.grade}_{cut.subset_mask}: {row} >= 1")
+    for grade, subset, neighborhood in model.cuts:
+        row = " + ".join(f"x_{v}_{grade}" for v in neighborhood)
+        lines.append(f" cut_{grade}_{subset}: {row} >= 1")
     for v in range(model.num_vertices):
         for i in range(1, model.grades):
             lines.append(f" lad_{v}_{i}: x_{v}_{i} - x_{v}_{i + 1} >= 0")
@@ -298,10 +294,7 @@ class IlpSolution(_Record):
 
 def model_point_feasible(model: IlpModel, y: Sequence[int]) -> bool:
     """Does the ladder encoding of ``y`` satisfy every cut row?"""
-    for cut in model.cuts:
-        if not any(y[v] >= cut.grade for v in cut.neighborhood):
-            return False
-    return True
+    return all(any(y[v] >= grade for v in nbhd) for grade, _, nbhd in model.cuts)
 
 
 def _minimal_rows(masks_by_grade: Mapping[int, Iterable[int]]) -> list[tuple[int, int]]:
@@ -347,7 +340,7 @@ def solve_ilp_by_enumeration(model: IlpModel, cap: int = 24) -> IlpSolution:
     ``_minimal_rows``): each dropped row is implied by a kept one, so the
     feasible region, and with it the first feasible point, is unchanged.
     Each grade's distinct row masks are read from the ``_boundaries``
-    table at its ``_row_subsets``; no ``CutRow`` is built. A failed row
+    table at its ``_row_subsets``; no row tuple is built. A failed row
     (g, M) is repaired only by raising a vertex of M, so the walk is
     pruned at the smallest top vertex of M among the failed rows.
     """

@@ -24,6 +24,7 @@ from .instance import (
     Instance,
     InternalInvariantError,
     SizeCapError,
+    _path,
     assert_valid,
 )
 
@@ -219,14 +220,6 @@ def _build_rooted(tree_edges: Sequence[Edge], root: int):
     return parent, children, order
 
 
-def _climb(parent: Mapping[int, int], v: int, top: int) -> tuple[int, ...]:
-    """Vertices from ``v`` up the parent links to its ancestor ``top``."""
-    path = [v]
-    while path[-1] != top:
-        path.append(parent[path[-1]])
-    return tuple(path)
-
-
 def check_grt(
     instance: Instance,
     tree_edges: Sequence[Edge],
@@ -248,7 +241,7 @@ def _grade_rise(parent, children, order, y, root) -> tuple[int, ...] | None:
     for v in order:
         for u in children[v]:
             if y[u] > y[v]:
-                return _climb(parent, u, root)[::-1]
+                return _path(parent, root, u)
     return None
 
 
@@ -403,7 +396,7 @@ def spider_decompose(
         last = left - count[center] < 2  # nothing but the root left outside
         if last:
             spider_root = root
-            root_path = _climb(parent, center, root)
+            root_path = _path(parent, root, center)[::-1]
         elif center in marked_set:
             spider_root = center
             root_path = (center,)
@@ -416,7 +409,7 @@ def spider_decompose(
                     "demoted tree lost its equal-grade marked descendant"
                 )
             spider_root = equals[0]
-            root_path = _climb(parent, spider_root, center)[::-1]
+            root_path = _path(parent, center, spider_root)
         node_set = members | set(root_path)
         spiders.append(
             Spider(

@@ -21,6 +21,7 @@ from vgsst import (
     check_grt,
     fig3_instance,
     instance_to_json,
+    normalize,
     random_instance,
     read_solution,
     solution_cost,
@@ -392,6 +393,43 @@ def test_verify_names_the_vertex_the_merge_root_does_not_reach(capsys, fig3_file
     assert run(capsys, "verify", fig3_file, str(sol_path)) == (
         1, "FAIL: grade-2 tree edges do not reach vertex 5 from vertex 0\n", ""
     )
+
+
+def test_verify_walks_the_tree_of_a_record_free_file(capsys, tmp_path):
+    # A top-down file has no merge records. Its tree (1,5), (1,7), (1,8)
+    # forged into the triangle (1,5), (1,7), (5,7): instance edges, one
+    # fewer than the bought vertices, but vertex 8 is off the tree.
+    inst = normalize(random_instance(9, 2, 1, edge_prob=0.5, terminal_fraction=0.4)).instance
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(instance_to_json(inst))
+    sol_path = tmp_path / "sol.json"
+    code, _, _ = run(capsys, "solve", "--algorithm", "topdown", str(inst_path), "-o", str(sol_path))
+    assert code == 0
+    assert json.loads(sol_path.read_text())["iterations"] == []
+    _corrupt(sol_path, _set(["tree_edges"], [[1, 5], [1, 7], [5, 7]]))
+    assert run(capsys, "verify", str(inst_path), str(sol_path)) == (
+        1, "FAIL: grade-1 tree edges do not reach vertex 8 from vertex 1\n", ""
+    )
+
+
+def test_verify_refuses_a_merge_root_equal_to_the_vertex_count(capsys, fig3_file, tmp_path):
+    # fig3 has vertices 0..7: root 8 is the first id past the end.
+    sol_path = tmp_path / "sol.json"
+    run(capsys, "solve", fig3_file, "-o", str(sol_path))
+    _corrupt(sol_path, _set(["iterations", -1, "root"], 8))
+    assert run(capsys, "verify", fig3_file, str(sol_path)) == (
+        2, "", "error: merge root 8 is not a vertex of the instance\n"
+    )
+
+
+def test_solve_refuses_a_terminal_equal_to_the_vertex_count(capsys, fig3_file, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(Path(fig3_file).read_text())
+    _corrupt(bad, lambda doc: doc["terminals"].append({"vertex": 8, "required": 1}))
+    assert run(capsys, "solve", str(bad), "-o", str(tmp_path / "out.json")) == (
+        2, "", "error: terminal 8 out of vertex range\n"
+    )
+    assert not (tmp_path / "out.json").exists()
 
 
 def _reference_verdict(instance, report):

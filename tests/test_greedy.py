@@ -17,7 +17,6 @@ from vgsst import (
     InternalInvariantError,
     StaleCandidateError,
     apply_merge,
-    best_candidate_for,
     brute_force_dst,
     brute_force_optimum,
     check_feasible,
@@ -94,7 +93,7 @@ def test_adjacent_distance_is_zero(fig3):
 
 def test_best_candidate_first_round(fig3):
     forest = init_forest(fig3)
-    cand = best_candidate_for(forest, center=4, grade=1)
+    cand = greedy._best(forest, [4], [1])
     assert cand.root == 5
     assert cand.subset_roots == (2, 6)
     assert cand.gamma == Fraction(4, 3)
@@ -104,7 +103,7 @@ def test_best_candidate_first_round(fig3):
 
 def test_best_candidate_second_round(fig3):
     forest = _after_first_merge(fig3)
-    cand = best_candidate_for(forest, center=4, grade=2)
+    cand = greedy._best(forest, [4], [2])
     assert cand.root == 0
     assert cand.subset_roots == (5,)
     assert cand.gamma == Fraction(13)
@@ -113,15 +112,11 @@ def test_best_candidate_second_round(fig3):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda forest: best_candidate_for(forest, center=-1, grade=1),
-        lambda forest: best_candidate_for(forest, center=8, grade=1),
-        lambda forest: best_candidate_for(forest, center=4, grade=0),
-        lambda forest: best_candidate_for(forest, center=4, grade=3),
         lambda forest: graded_shortest_paths(forest, -1, 1),
         lambda forest: graded_shortest_paths(forest, 8, 1),
         lambda forest: graded_shortest_paths(forest, 0, 3),
     ],
-    ids=["center-1", "center8", "grade0", "grade3", "source-1", "source8", "row-grade3"],
+    ids=["source-1", "source8", "row-grade3"],
 )
 def test_out_of_range_center_grade_or_source_rejected(fig3, call):
     with pytest.raises(InputError):
@@ -148,7 +143,7 @@ def test_leg_paths_follow_subset_roots():
 def test_no_candidate_when_no_tree_fits_under_grade(fig3):
     forest = _after_first_merge(fig3)
     # Both remaining roots demand grade 2, so nothing is mergeable at 1.
-    assert best_candidate_for(forest, center=4, grade=1) is None
+    assert greedy._best(forest, [4], [1]) is None
 
 
 def test_global_candidate_first_round(fig3):
@@ -825,7 +820,7 @@ def test_scan_matches_every_prefix_reference():
             overall = None
             for center in range(inst.num_vertices):
                 for grade in range(1, inst.grades + 1):
-                    cand = best_candidate_for(forest, center, grade)
+                    cand = greedy._best(forest, [center], [grade])
                     expected = _every_prefix_best(forest, center, grade, rows)
                     if expected is None:
                         assert cand is None, (center, grade)

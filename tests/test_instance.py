@@ -70,6 +70,26 @@ def test_build_names_every_broken_rule_in_one_line():
     )
 
 
+def test_random_instances_equal_a_build_of_their_fields():
+    # random_instance checks its drawn graph once and skips build's sort
+    # and re-check; what it returns must still be build's instance.
+    corpus = mixed_corpus(40, seed0=9100, max_n=12)
+    corpus += [
+        random_instance(n, levels, seed=seed, edge_prob=min(1.0, 6 / n), terminal_fraction=0.3)
+        for n in (1, 2, 60, 90)
+        for levels in (1, 3)
+        for seed in (1, 2)
+    ]
+    for inst in corpus:
+        built = Instance.build(
+            inst.num_vertices, list(inst.edges), inst.grades, inst.required, inst.costs
+        )
+        assert type(inst.edges) is tuple and inst.edges == built.edges
+        assert inst == built, inst
+        assert inst._neighbor_masks == built._neighbor_masks
+        assert inst.adjacency == built.adjacency
+
+
 def test_validate_normalisation_rules():
     # Top grade never demanded, and a costly terminal ladder.
     inst = Instance.build(2, [(0, 1)], 2, {0: 1}, [[1, 2], [0, 0]])

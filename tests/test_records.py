@@ -13,7 +13,6 @@ import pytest
 
 from vgsst import (
     Cost,
-    CutRow,
     DstInstance,
     FeasibilityWitness,
     GradedDistanceRow,
@@ -84,10 +83,6 @@ SAMPLES = {
         "MergeCandidate(root=0, center=1, grade=2, subset_roots=(3,), gamma=Fraction(1, 4), "
         "root_path=(1, 0), leg_paths=((1, 3),), forest_version=7)",
     ),
-    "CutRow": (
-        lambda: CutRow(grade=1, subset_mask=5, neighborhood=(1, 3)),
-        "CutRow(grade=1, subset_mask=5, neighborhood=(1, 3))",
-    ),
     "IlpModel": (
         lambda: IlpModel(2, 1, ((Cost(0),), (Cost(0),)), (2, 1), (3,)),
         "IlpModel(num_vertices=2, grades=1, objective=((Cost('0'),), (Cost('0'),)), "
@@ -133,7 +128,6 @@ CHANGED = {
     "GradedDistanceRow": ("preds", lambda: GradedDistanceRow(0, 1, (0, 5), (-1, 1))),
     "MergeCandidate": ("forest_version", lambda: MergeCandidate(
         0, 1, 2, (3,), Fraction(1, 4), (1, 0), ((1, 3),), 8)),
-    "CutRow": ("neighborhood", lambda: CutRow(1, 5, (1,))),
     "IlpModel": ("demand_masks", lambda: IlpModel(2, 1, ((Cost(0),), (Cost(0),)), (2, 1), (1,))),
     "IlpSolution": ("assignment", lambda: IlpSolution((1, 0), Cost(0))),
     "DstInstance": ("root", lambda: DstInstance(2, 1, 2, ((0, 1, 0), (1, 0, 0)), 1, (1,))),
@@ -170,7 +164,7 @@ def test_equality_and_hash(name):
 
 def test_records_of_other_classes_are_unequal():
     # Same field values, different classes.
-    assert CutRow(1, 5, (1, 3)) != Violation(1, 5, (1, 3))
+    assert IlpSolution((1, 1), Cost(0)) != NormalizeResult((1, 1), Cost(0))
     assert Cost(0) != 0
 
 
@@ -253,4 +247,4 @@ def test_keyword_and_positional_construction_agree():
     with pytest.raises(TypeError):
         Violation("rule", "subject")
     with pytest.raises(TypeError):
-        CutRow(1, 2, (), 4)
+        IlpSolution((1,), Cost(0), 4)

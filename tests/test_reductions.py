@@ -555,18 +555,18 @@ def test_decomposition_roots_the_tree_once(monkeypatch):
 
 
 def test_decomposition_climbs_each_vertex_at_most_once(monkeypatch):
-    # The vertices on every path _climb returns, summed over one
-    # decomposition, stay within n: each climb runs inside one spider. A
+    # The vertices on every parent-link path (``_path``) the decomposition
+    # walks, summed, stay within n: each climb runs inside one spider. A
     # path with 450 spiders and a random tree, both on 3,000 vertices.
     climbed = []
-    climb = reductions._climb
+    climb = reductions._path
 
     def counting_climb(*args):
         path = climb(*args)
         climbed.append(len(path))
         return path
 
-    monkeypatch.setattr(reductions, "_climb", counting_climb)
+    monkeypatch.setattr(reductions, "_path", counting_climb)
     for n, seed, span in ((3000, 14, 1), (3000, 11, 0)):
         args = _large_grt(n, seed, span)
         climbed.clear()
